@@ -11,6 +11,7 @@ temp file and an atomic rename.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -236,11 +237,13 @@ def cmd_check(args):
     return {"verb": "check", **result}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  `--cache` has no default here:
+    `main` reads $FH_CACHE when it runs."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", choices=("json", "table"), default="json")
-    common.add_argument("--cache", default=os.environ.get("FH_CACHE"),
-                        help="cache directory (default: $FH_CACHE)")
+    common.add_argument("--cache", help="cache directory (default: $FH_CACHE)")
     parser = argparse.ArgumentParser(
         prog="strathom",
         description="Exact factorization homology over stratified 1-manifolds")
@@ -308,8 +311,9 @@ def _input_fingerprint(args):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    if args.cache is None:
+        args.cache = os.environ.get("FH_CACHE")
     try:
         key = _cache_key(_input_fingerprint(args))
         cached = _cache_lookup(args.cache, key)

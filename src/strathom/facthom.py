@@ -9,9 +9,10 @@ cyclic homology of the chain complex in the exact linear backend.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
-from .exactla import SparseMat, homology_group
+from .exactla import SparseMat, chain_homology
 from .fincat import FinCategory, SimplicialFinSet, UnionFind
 from .enrich import LinearCategory, tensor_all_sets
 from .manifold import GraphManifold
@@ -363,6 +364,8 @@ class ChainComplexBundle:
     """The cyclic bar chain complex of a linear category, with the mixed
     structure: boundaries b, signed cyclic operators, norms, the extra
     degeneracy, and the resulting degree-raising operator B = (1 - t) s N.
+    Bases and boundaries are built at once; the mixed structure on first
+    use, since Hochschild homology never reads it.
     """
 
     def __init__(self, cat: LinearCategory, n_max: int):
@@ -375,10 +378,22 @@ class ChainComplexBundle:
         self.boundaries = [None]  # b_0 is undefined
         for n in range(1, n_max + 1):
             self.boundaries.append(self._boundary(n))
-        self.cyclic = [self._cyclic(n) for n in range(n_max + 1)]
-        self.norms = [self._norm(n) for n in range(n_max + 1)]
-        self.extra_degens = [self._extra_degen(n) for n in range(n_max)]
-        self.connes_b = [self._connes_b(n) for n in range(n_max)]
+
+    @functools.cached_property
+    def cyclic(self):
+        return [self._cyclic(n) for n in range(self.n_max + 1)]
+
+    @functools.cached_property
+    def norms(self):
+        return [self._norm(n) for n in range(self.n_max + 1)]
+
+    @functools.cached_property
+    def extra_degens(self):
+        return [self._extra_degen(n) for n in range(self.n_max)]
+
+    @functools.cached_property
+    def connes_b(self):
+        return [self._connes_b(n) for n in range(self.n_max)]
 
     def _face_columns(self, n, i):
         """d_i : C_n -> C_{n-1} as a dict-of-columns."""
@@ -528,14 +543,13 @@ def hochschild_homology(cat: LinearCategory, n_max: int):
     the degree, the free rank, and the torsion coefficients (empty over a
     field)."""
     complex_ = ChainComplexBundle(cat, n_max + 1)
-    out = []
-    for n in range(n_max + 1):
-        b_n = complex_.boundaries[n] if n >= 1 else None
-        b_next = complex_.boundaries[n + 1]
-        rank, torsion = homology_group(complex_.dims[n], b_n, b_next,
-                                       cat.ring)
-        out.append({"degree": n, "rank": rank, "torsion": list(torsion)})
-    return out
+    return _groups(complex_.dims, complex_.boundaries, cat.ring)
+
+
+def _groups(dims, boundaries, ring):
+    return [{"degree": n, "rank": rank, "torsion": list(torsion)}
+            for n, (rank, torsion)
+            in enumerate(chain_homology(dims, boundaries, ring))]
 
 
 def _total_complex(complex_: ChainComplexBundle, n_max: int):
@@ -585,12 +599,7 @@ def cyclic_homology(cat: LinearCategory, n_max: int):
     the (b, B) total complex, computed exactly per degree."""
     complex_ = ChainComplexBundle(cat, n_max + 1)
     dims, mats = _total_complex(complex_, n_max)
-    out = []
-    for n in range(n_max + 1):
-        rank, torsion = homology_group(dims[n], mats[n] if n >= 1 else None,
-                                       mats[n + 1], cat.ring)
-        out.append({"degree": n, "rank": rank, "torsion": list(torsion)})
-    return out
+    return _groups(dims, mats, cat.ring)
 
 
 def negative_cyclic_homology(cat: LinearCategory, n_max: int, i_max: int = 3):
@@ -602,7 +611,7 @@ def negative_cyclic_homology(cat: LinearCategory, n_max: int, i_max: int = 3):
     """
     top = n_max + 2 * i_max + 1
     complex_ = ChainComplexBundle(cat, top)
-    hh = hochschild_homology(cat, top - 1)
+    hh = _groups(complex_.dims, complex_.boundaries, cat.ring)
     # degree index runs from -1 (the target of D_0 is nonzero here, unlike
     # the first-quadrant complex) up to n_max + 1
     dims = {}
@@ -640,11 +649,8 @@ def negative_cyclic_homology(cat: LinearCategory, n_max: int, i_max: int = 3):
                         else:
                             m.rows[t_off + i][src_off + j] = w
         mats[n] = m
-    groups = []
-    for n in range(n_max + 1):
-        rank, torsion = homology_group(dims[n], mats[n], mats[n + 1],
-                                       cat.ring)
-        groups.append({"degree": n, "rank": rank, "torsion": list(torsion)})
+    groups = _groups([dims[n] for n in range(n_max + 2)],
+                     [mats[n] for n in range(n_max + 2)], cat.ring)
     hh_top = max((g["degree"] for g in hh if g["rank"] or g["torsion"]),
                  default=-1)
     return {"groups": groups, "truncated_at_column": i_max,

@@ -179,6 +179,19 @@ def test_env_cache_dir_is_used(inputs, capsys, tmp_path, monkeypatch):
     assert os.listdir(cache)
 
 
+def test_parser_is_shared_but_fh_cache_is_read_per_call(inputs, capsys,
+                                                        tmp_path, monkeypatch):
+    import os
+    from strathom.cli import build_parser
+    monkeypatch.delenv("FH_CACHE", raising=False)
+    assert run(capsys, "trace", "--category", inputs["idem"])[0] == 0
+    cache = tmp_path / "late"
+    monkeypatch.setenv("FH_CACHE", str(cache))
+    assert run(capsys, "trace", "--category", inputs["idem"])[0] == 0
+    assert os.listdir(cache)
+    assert build_parser() is build_parser()
+
+
 def test_prime_field_backend_end_to_end(tmp_path, capsys):
     alg = {
         "ring": "Fp:5",

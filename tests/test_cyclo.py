@@ -1,5 +1,7 @@
+import itertools
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from strathom.cyclo import (burnside_necklace_count, build_cyclo_action,
                             configuration_census, conjugacy_classes,
@@ -163,20 +165,33 @@ def test_census_formula_matches_burnside_oracle():
             assert necklace_count(m, n) == burnside_necklace_count(m, n)
 
 
+def _necklace_representatives(m, n):
+    """The least rotation of each class of length-n words over m letters,
+    each class once (Fredricksen-Kessler-Maiorana, in Duval's iterative
+    form): the Lyndon words whose length divides n, repeated to length n."""
+    w = [-1]
+    while w:
+        w[-1] += 1
+        if n % len(w) == 0:
+            yield tuple(w * (n // len(w)))
+        k = len(w)
+        while len(w) < n:
+            w.append(w[-k])
+        while w and w[-1] == m - 1:
+            w.pop()
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 9))
+@example(3, 6)
 def test_necklace_matches_explicit_orbit_count(m, n):
-    import itertools
-    words = set(itertools.product(range(m), repeat=n))
-    seen = set()
-    orbits = 0
-    for w in sorted(words):
-        if w in seen:
-            continue
-        orbits += 1
-        for k in range(n):
-            seen.add(w[k:] + w[:k])
-    assert necklace_count(m, n) == orbits
+    reps = list(_necklace_representatives(m, n))
+    assert necklace_count(m, n) == len(reps) == len(set(reps))
+    if m ** n <= 1000:
+        # brute force: every word, every rotation
+        orbits = {min(w[k:] + w[:k] for k in range(n))
+                  for w in itertools.product(range(m), repeat=n)}
+        assert orbits == set(reps)
 
 
 def test_free_monoid_classes_grade_to_necklaces():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from strathom import checks, manifold
+from strathom import checks, enrich, manifold
 from strathom.exactla import QQ, ZZ, RingFp
 from strathom.enrich import (LinearCategory, algebra_from_table,
                              commutator_cokernel_invariants,
@@ -179,6 +179,46 @@ def test_suite_corr_reports_a_faulty_composite(monkeypatch):
     report = checks.suite_corr()
     assert report["failed"] > 0
     assert all("functoriality" in f for f in report["failures"])
+
+
+def _faulty_pushforward(a, b, fault):
+    """corr_pushforward with one fault.  "duplicate" and "drop" act on the
+    composite span (neither a nor b): its last element is listed twice, or
+    left out.  "move" acts on the first leg a: the last element of the
+    first target with two or more elements is filed under the last target
+    instead, so one value set loses an element and another gains one."""
+    def pushforward(span, family):
+        out = dict(corr_pushforward(span, family))
+        if fault == "move" and span is a:
+            t = next(t for t in out if len(out[t]) >= 2)
+            other = [u for u in out if u != t][-1]
+            out[other] += out[t][-1:]
+            out[t] = out[t][:-1]
+        elif fault in ("duplicate", "drop") and span is not a and span is not b:
+            for t, elems in out.items():
+                out[t] = elems + elems[-1:] if fault == "duplicate" else elems[:-1]
+        return out
+    return pushforward
+
+
+@pytest.mark.parametrize("fault,reason", [
+    ("duplicate", "factors multiply to"),
+    ("drop", "factors multiply to"),
+    ("move", "two composite elements share an image"),
+])
+def test_index_check_catches_a_faulty_pushforward(monkeypatch, fault, reason):
+    # the composite's elements are matched by position, so a repeated last
+    # element is seen by the element count alone; a value set one short next
+    # to one that is one long keeps every image in range but maps two
+    # composite elements to one two-step element
+    a = FinSpan((0, 1), (0, 1), (0, 1), {0: 1, 1: 1}, {0: 1, 1: 1})
+    b = FinSpan((0, 1), ("v0", "v1", "v2"), (0,),
+                {"v0": 0, "v1": 1, "v2": 1}, {"v0": 0, "v1": 0, "v2": 0})
+    fam = {0: (0,), 1: (0, 1)}
+    corr_pushforward_index_check(a, b, fam)
+    monkeypatch.setattr(enrich, "corr_pushforward", _faulty_pushforward(a, b, fault))
+    with pytest.raises(AssertionError, match=reason):
+        corr_pushforward_index_check(a, b, fam)
 
 
 def test_pointed_restriction_agrees_with_span_route():

@@ -1,8 +1,9 @@
+import math
 import random
 
 import pytest
 
-from strathom.exactla import QQ, SparseMat, ZZ
+from strathom.exactla import QQ, RingFp, SparseMat, ZZ
 from strathom.enrich import (ground_ring_algebra, group_algebra,
                              matrix_algebra, nerve, product_algebra,
                              truncated_polynomial_algebra,
@@ -378,3 +379,65 @@ def test_linear_level_matrices_satisfy_simplicial_identities():
     for i in range(2):
         assert lv2.faces[i].mul(lv1.degens[i]) == ident
         assert lv2.faces[i + 1].mul(lv1.degens[i]) == ident
+
+
+# -- Burghelea and universal coefficients over Z ----------------------------------------
+#
+# Burghelea: HH_n(Z[G]) is the sum over g in G (G abelian) of H_n(G; Z), and
+# HC_n(Z[G]) the sum over g of H_n(B(S^1 x G/<g>); Z), i.e. of
+# H_(n-2i)(G/<g>; Z) for i >= 0.  For G = Z/m, G/<g> = Z/gcd(g, m), and
+# H_j(Z/c; Z) is Z for j = 0, Z/c for odd j and 0 for even j > 0.
+
+def _invariant_factors(orders):
+    """Invariant factors d_1 | d_2 | ... of the sum of Z/n over `orders`."""
+    powers = {}
+    for n in orders:
+        p = 2
+        while n > 1:
+            q = 1
+            while n % p == 0:
+                n //= p
+                q *= p
+            if q > 1:
+                powers.setdefault(p, []).append(q)
+            p += 1
+    out = [1] * max(map(len, powers.values()), default=0)
+    for qs in powers.values():
+        for k, q in enumerate(sorted(qs, reverse=True)):
+            out[k] *= q
+    return sorted(out)
+
+
+def _burghelea(verb, m, n):
+    """(rank, torsion) of HH_n or HC_n of Z[Z/m]."""
+    if n % 2 == 0:
+        return (m if n == 0 or verb == "hc" else 0), []
+    if verb == "hh":
+        return 0, _invariant_factors([m] * m)
+    return 0, _invariant_factors([math.gcd(g, m) for g in range(m)]
+                                 * ((n + 1) // 2))
+
+
+@pytest.mark.parametrize("verb", ["hh", "hc"])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_integral_group_algebra_matches_burghelea(verb, m):
+    engine = hochschild_homology if verb == "hh" else cyclic_homology
+    groups = engine(group_algebra(ZZ, *cyclic_group_table(m)), 3)
+    assert [(g["rank"], g["torsion"]) for g in groups] == \
+        [_burghelea(verb, m, n) for n in range(4)]
+
+
+@pytest.mark.parametrize("verb", ["hh", "hc"])
+@pytest.mark.parametrize("m,p", [(2, 2), (3, 3), (4, 2)])
+def test_universal_coefficients_z_against_fp(verb, m, p):
+    # dim H_n(C ⊗ F_p) = rank H_n + #{p | d in tors H_n} + #{p | d in tors H_(n-1)}
+    engine = hochschild_homology if verb == "hh" else cyclic_homology
+    table = cyclic_group_table(m)
+    over_z = engine(group_algebra(ZZ, *table), 3)
+    over_fp = engine(group_algebra(RingFp(p), *table), 3)
+    for n, g in enumerate(over_fp):
+        below = over_z[n - 1]["torsion"] if n else []
+        expected = (over_z[n]["rank"]
+                    + sum(d % p == 0 for d in over_z[n]["torsion"])
+                    + sum(d % p == 0 for d in below))
+        assert g["rank"] == expected, (verb, m, p, n)
