@@ -19,7 +19,7 @@ import sys
 import tempfile
 
 from .checks import SUITES, run_suite
-from .cyclo import DEFAULT_DEGREES, MODEL_TAG, tc0, trace0
+from .cyclo import DEFAULT_DEGREES, MODEL_TAG, build_cyclo_action, trace0
 from .enrich import LinearCategory, validate_enriched_cat
 from .facthom import (cyclic_homology, enr_facthom_disk, facthom_set_pi0,
                       hochschild_homology, negative_cyclic_homology,
@@ -113,25 +113,39 @@ def _cache_lookup(cache_dir, key):
     try:
         with open(path) as fh:
             return fh.read()
-    except OSError:
+    except (OSError, UnicodeDecodeError):
         return None
 
 
 def _cache_store(cache_dir, key, text):
+    """Best effort: a cache that cannot be written is skipped."""
     if not cache_dir:
         return
-    os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, f"{key}.json")
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    tmp = None
     try:
+        os.makedirs(cache_dir, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
-        os.replace(tmp, path)
+        os.replace(tmp, os.path.join(cache_dir, f"{key}.json"))
     except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+
+
+def _cached_result(text):
+    """The result held by a cache entry, or None for an absent entry or one
+    that does not parse to a JSON object (then it is a miss)."""
+    if text is None:
+        return None
+    try:
+        result = json.loads(text)
+    except ValueError:
+        return None
+    return result if isinstance(result, dict) else None
 
 
 # -- rendering ---------------------------------------------------------------------
@@ -188,10 +202,10 @@ def cmd_thh_set(args):
 def cmd_tc0(args):
     cat = load_category(args.category)
     degrees = _parse_degrees(args.degrees)
-    trace = trace0(cat)
+    action = build_cyclo_action(cat, degrees)
     return {"verb": "tc0", "degrees": list(degrees),
-            "tc0": list(tc0(cat, degrees)),
-            "trace": trace.to_json_dict(), "model": MODEL_TAG}
+            "tc0": list(action.fixed_classes()),
+            "trace": action.trace().to_json_dict(), "model": MODEL_TAG}
 
 
 def cmd_trace(args):
@@ -316,10 +330,8 @@ def main(argv=None) -> int:
         args.cache = os.environ.get("FH_CACHE")
     try:
         key = _cache_key(_input_fingerprint(args))
-        cached = _cache_lookup(args.cache, key)
-        if cached is not None:
-            result = json.loads(cached)
-        else:
+        result = _cached_result(_cache_lookup(args.cache, key))
+        if result is None:
             result = args.fn(args)
             _cache_store(args.cache, key, json.dumps(result, sort_keys=True))
     except ValidationFailure as exc:

@@ -84,6 +84,9 @@ class CycloAction:
                 out.append(rep)
         return tuple(out)
 
+    def trace(self) -> "TraceDatum":
+        return _trace_of(self.table)
+
 
 def build_cyclo_action(cat: FinCategory, degrees=DEFAULT_DEGREES) -> CycloAction:
     return CycloAction(thh_set_pi0(cat), tuple(degrees))
@@ -106,14 +109,19 @@ class TraceDatum:
         return dict(sorted(self.assignment.items()))
 
 
-def trace0(cat: FinCategory) -> TraceDatum:
-    table = thh_set_pi0(cat)
+def _trace_of(table: TraceClassTable) -> TraceDatum:
+    cat = table.category
     return TraceDatum({x: table.class_of(cat.unit(x)) for x in cat.objects})
 
 
+def trace0(cat: FinCategory) -> TraceDatum:
+    return _trace_of(thh_set_pi0(cat))
+
+
 def trace_lands_in_tc0(cat: FinCategory, degrees=DEFAULT_DEGREES) -> bool:
-    fixed = set(tc0(cat, degrees))
-    return all(c in fixed for c in trace0(cat).assignment.values())
+    action = build_cyclo_action(cat, degrees)
+    fixed = set(action.fixed_classes())
+    return all(c in fixed for c in action.trace().assignment.values())
 
 
 # -- groups and their loop spaces -------------------------------------------------
@@ -201,19 +209,28 @@ WORD_SEP = ""
 def free_monoid_category(letters, max_len: int) -> FinCategory:
     """The one-object category of words up to a length bound over the given
     alphabet, composed by concatenation (out-of-bound composites are absent
-    from the table)."""
+    from the table).
+
+    Only the in-bound pairs are visited: words grouped by length, u of
+    length lu against v of length at most max_len - lu.  The table holds
+    sum over s <= max_len of (s + 1)·m^s entries for m letters."""
     if isinstance(letters, int):
         letters = tuple(chr(ord("a") + i) for i in range(letters))
-    words = [""]
-    for n in range(1, max_len + 1):
-        words.extend("".join(w) for w in itertools.product(letters, repeat=n))
+    by_len = [[""]] + [["".join(w) for w in itertools.product(letters, repeat=n)]
+                       for n in range(1, max_len + 1)]
+    words = [w for level in by_len for w in level]
     names = {w: w if w else "1" for w in words}
-    mult = {}
-    for u in words:
-        for v in words:
-            if len(u) + len(v) <= max_len:
-                mult[(names[u], names[v])] = names[u + v]
-    return monoid_category(tuple(names[w] for w in words), mult, "1")
+    compose = {}
+    for lu, us in enumerate(by_len):
+        vs = [v for level in by_len[:max_len - lu + 1] for v in level]
+        for u in us:
+            nu = names[u]
+            for v in vs:
+                # "u then v" is the composite v∘u
+                compose[(names[v], nu)] = names[u + v]
+    obj = "*"
+    return FinCategory((obj,), {(obj, obj): tuple(names[w] for w in words)},
+                       compose, {obj: "1"})
 
 
 def euler_phi(n: int) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from .exactla import Ring, SparseMat, ring_from_name
+from .exactla import Ring, SparseMat, cokernel_invariants, ring_from_name
 from .fincat import FinCategory, SimplicialFinSet, validate_category
 from .manifold import FinSpan
 
@@ -434,8 +434,58 @@ def commutator_cokernel_invariants(alg: LinearCategory):
                 col[idx[k]] = col.get(idx[k], 0) - c
             cols.append({i: v for i, v in col.items() if not alg.ring.is_zero(v)})
     mat = SparseMat.from_columns(len(basis), cols)
-    from .exactla import cokernel_invariants
     return cokernel_invariants(mat, alg.ring)
+
+
+def is_separable(cat: LinearCategory) -> bool:
+    """Whether A = (sum of all hom(x, y)) has a separability idempotent.
+
+    The idempotent is e = sum c_ij a_i ⊗ a_j over basis pairs with
+    mu(e) = 1 and a·e = e·a for every basis element a, where a·(u ⊗ w) =
+    au ⊗ w and (u ⊗ w)·a = u ⊗ wa; products of non-composable basis
+    elements are 0.  These conditions are a linear system M c = v, solved
+    exactly: over a field v lies in the image when rank M = rank [M | v];
+    over Z when coker M and coker [M | v] have the same invariants, since
+    the natural map between them is onto and an onto map between
+    isomorphic finitely generated abelian groups is an isomorphism.  A
+    separable A is projective over A ⊗ A^op, so HH_n(A) = 0 for n > 0
+    (Weibel, *An Introduction to Homological Algebra*, §9.2).
+    """
+    ring = cat.ring
+    basis = [(x, y, b) for (x, y), bs in cat.hom_basis.items() for b in bs]
+    idx = {a: i for i, a in enumerate(basis)}
+    d = len(basis)
+    prod = [[{} for _ in range(d)] for _ in range(d)]
+    for i, (x, y, bi) in enumerate(basis):
+        for j, (y2, z, bj) in enumerate(basis):
+            if y == y2:
+                prod[i][j] = {idx[(x, z, k)]: c for k, c
+                              in cat.compose_basis(x, y, z, bi, bj).items()}
+    # mu(e) = 1 sits in rows 0..d-1, and a_s·e = e·a_s at coordinate (k, l)
+    # of A ⊗ A in row d + (s·d + k)·d + l
+    cols = []
+    for i in range(d):
+        for j in range(d):
+            terms = list(prod[i][j].items())
+            for s in range(d):
+                terms += [(d + (s * d + k) * d + j, c)
+                          for k, c in prod[s][i].items()]
+                terms += [(d + (s * d + i) * d + k, ring.neg(c))
+                          for k, c in prod[j][s].items()]
+            col = {}
+            for r, c in terms:
+                col[r] = ring.add(col.get(r, 0), c)
+            cols.append({r: c for r, c in col.items() if not ring.is_zero(c)})
+    one = {}
+    for x, vec in cat.units.items():
+        for b, c in vec.items():
+            one[idx[(x, x, b)]] = c
+    nrows = d + d ** 3
+    mat = SparseMat.from_columns(nrows, cols)
+    extended = SparseMat.from_columns(nrows, cols + [one])
+    if ring.is_field:
+        return mat.rank(ring) == extended.rank(ring)
+    return cokernel_invariants(mat, ring) == cokernel_invariants(extended, ring)
 
 
 # -- the nerve ---------------------------------------------------------------------

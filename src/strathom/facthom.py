@@ -14,7 +14,7 @@ import itertools
 
 from .exactla import SparseMat, chain_homology
 from .fincat import FinCategory, SimplicialFinSet, UnionFind
-from .enrich import LinearCategory, tensor_all_sets
+from .enrich import LinearCategory, is_separable, tensor_all_sets
 from .manifold import GraphManifold
 
 
@@ -606,12 +606,15 @@ def negative_cyclic_homology(cat: LinearCategory, n_max: int, i_max: int = 3):
     """Column-truncated negative cyclic homology.
 
     The honest theory needs all columns C_{n + 2i}, i >= 0; this truncates
-    at i <= i_max and reports the truncation, which is exact whenever the
-    Hochschild homology vanishes above the degrees the truncation covers.
+    at i <= i_max and reports the truncation.  The dropped columns
+    contribute only Hochschild homology in positive degrees, so the
+    truncation is exact when HH_n = 0 for all n > 0.  That is claimed only
+    with a certificate: a separability idempotent (`enrich.is_separable`).
+    Without one, "exact" is false and "hh_vanishes_above" and
+    "certificate" are null.
     """
     top = n_max + 2 * i_max + 1
     complex_ = ChainComplexBundle(cat, top)
-    hh = _groups(complex_.dims, complex_.boundaries, cat.ring)
     # degree index runs from -1 (the target of D_0 is nonzero here, unlike
     # the first-quadrant complex) up to n_max + 1
     dims = {}
@@ -651,8 +654,8 @@ def negative_cyclic_homology(cat: LinearCategory, n_max: int, i_max: int = 3):
         mats[n] = m
     groups = _groups([dims[n] for n in range(n_max + 2)],
                      [mats[n] for n in range(n_max + 2)], cat.ring)
-    hh_top = max((g["degree"] for g in hh if g["rank"] or g["torsion"]),
-                 default=-1)
+    separable = is_separable(cat)
     return {"groups": groups, "truncated_at_column": i_max,
-            "hh_vanishes_above": hh_top,
-            "exact": hh_top <= n_max + 2 * i_max - 1}
+            "hh_vanishes_above": 0 if separable else None,
+            "certificate": "separable" if separable else None,
+            "exact": separable}

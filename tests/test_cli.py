@@ -233,4 +233,31 @@ def test_negative_cyclic_mode(inputs, capsys):
     assert data["mode"] == "negative"
     assert data["truncated_at_column"] == 2
     assert data["exact"] is True
+    assert data["certificate"] == "separable"
+    assert data["hh_vanishes_above"] == 0
     assert [g["rank"] for g in data["groups"]] == [1, 0, 0]
+
+
+def test_unparseable_cache_entry_is_a_miss_and_is_overwritten(inputs, tmp_path,
+                                                               capsys):
+    cache = tmp_path / "cache"
+    argv = ("tc0", "--category", inputs["idem"], "--cache", str(cache))
+    _, fresh = run(capsys, *argv)
+    (entry,) = cache.glob("*.json")
+    stored = entry.read_text()
+    entry.write_text(stored[: len(stored) // 2])
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out == fresh
+    assert entry.read_text() == stored
+
+
+def test_cache_path_naming_a_file_is_skipped(inputs, tmp_path, capsys):
+    _, fresh = run(capsys, "tc0", "--category", inputs["idem"])
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    code, out = run(capsys, "tc0", "--category", inputs["idem"],
+                    "--cache", str(blocker))
+    assert code == 0
+    assert out == fresh
+    assert blocker.read_text() == "not a directory"

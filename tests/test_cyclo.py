@@ -203,6 +203,23 @@ def test_free_monoid_classes_grade_to_necklaces():
             assert by_len[n] == necklace_count(m, n)
 
 
+@pytest.mark.parametrize("m, bound", [(1, 6), (2, 5), (3, 4)])
+def test_free_monoid_table_is_the_brute_force_pair_filter(m, bound):
+    cat = free_monoid_category(m, bound)
+    letters = "abc"[:m]
+    words = ["".join(w) for n in range(bound + 1)
+             for w in itertools.product(letters, repeat=n)]
+    name = {w: w or "1" for w in words}
+    assert list(cat.morphisms()) == [name[w] for w in words]
+    # every pair of words, kept when the concatenation is in bound;
+    # compose(g, f) is "f then g"
+    expected = {(name[v], name[u]): name[u + v]
+                for u in words for v in words if len(u) + len(v) <= bound}
+    assert cat.compose_table == expected
+    assert len(cat.compose_table) == sum((s + 1) * m ** s
+                                         for s in range(bound + 1))
+
+
 def test_rotation_acts_trivially_on_classes():
     from strathom.facthom import cyclic_bar_set_level
     for cat in (IDEM, BZ4):

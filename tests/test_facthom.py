@@ -255,6 +255,33 @@ def test_negative_cyclic_reports_truncation():
     assert [g["rank"] for g in result["groups"]] == [1, 0, 0]
 
 
+@pytest.mark.parametrize("name, alg, separable", [
+    ("Z[Z/3]", group_algebra(ZZ, *cyclic_group_table(3)), False),
+    ("Z[x]/(x^2)", truncated_polynomial_algebra(ZZ, 2), False),
+    ("M_2(Z)", matrix_algebra(ZZ, 2), True),
+    ("M_2(Q)", matrix_algebra(QQ, 2), True),
+    ("Q[Z/3]", group_algebra(QQ, *cyclic_group_table(3)), True),
+])
+def test_negative_cyclic_claims_exact_only_with_a_certificate(name, alg,
+                                                              separable):
+    result = negative_cyclic_homology(alg, 2, i_max=1)
+    assert result["exact"] is separable, name
+    assert result["certificate"] == ("separable" if separable else None)
+    assert result["hh_vanishes_above"] == (0 if separable else None)
+    # the certificate's promise, checked against the engine: HH_n = 0, n > 0
+    if separable:
+        hh = hochschild_homology(alg, 3)
+        assert all(g["rank"] == 0 and not g["torsion"] for g in hh[1:])
+
+
+def test_negative_cyclic_of_z_z3_is_not_exact():
+    # periodic HH (Burghelea): HH_5 = (Z/3)^3 lies beyond the degrees that
+    # `--max-degree 2 --i-max 1` computes, so no vanishing range is claimed
+    alg = group_algebra(ZZ, *cyclic_group_table(3))
+    assert hochschild_homology(alg, 5)[5]["torsion"] == [3, 3, 3]
+    assert negative_cyclic_homology(alg, 2, i_max=1)["exact"] is False
+
+
 # -- mixed complex identities -----------------------------------------------------------------------
 
 def test_connes_b_degree_zero_against_identities():

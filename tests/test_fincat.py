@@ -1,6 +1,10 @@
+import itertools
+import random
+
 from hypothesis import given, settings, strategies as st
 
-from strathom import fincat
+from strathom import cyclo, fincat
+from strathom.checks import small_category_pool
 from strathom.fincat import (FactorizationSystem, FinCategory, Functor,
                              SetDiagram, codiscrete, colimit_of_sets,
                              discrete_category, factorization_unique_up_to_iso,
@@ -45,6 +49,148 @@ def test_associativity_violation_reported():
     mult[("u", "v")] = "v"  # breaks (u v) u vs u (v u)
     cat = monoid_category(els, mult, "e")
     assert any("associativity" in r for r in validate_category(cat))
+
+
+# -- associativity: Light's test against the triple loop ----------------------------
+
+def triple_loop_report(cat):
+    """Independent oracle: the unit-law and associativity part of the report
+    by the plain loops, every composable triple (h, g, f) visited.  This is
+    what `validate_category` ran before it used Light's test; it expects a
+    total table."""
+    names = list(cat.morphisms())
+    table = cat.compose_table
+    report = []
+    for f in names:
+        if table[(cat.unit(cat.tgt(f)), f)] != f:
+            report.append(f"left unit law fails at {f}")
+        if table[(f, cat.unit(cat.src(f)))] != f:
+            report.append(f"right unit law fails at {f}")
+    for f in names:
+        for g in names:
+            if cat.tgt(f) != cat.src(g):
+                continue
+            gf = table[(g, f)]
+            for h in names:
+                if cat.tgt(g) != cat.src(h):
+                    continue
+                if table[(h, gf)] != table[(table[(h, g)], f)]:
+                    report.append(f"associativity fails at ({h},{g},{f})")
+    return report
+
+
+def assert_light_agrees_with_triple_loop(cat):
+    report = validate_category(cat)
+    oracle = triple_loop_report(cat)
+    assert bool(report) == bool(oracle)
+    assert set(report) <= set(oracle)
+    if not any("unit law" in r for r in oracle):
+        # Light's test is complete once the unit laws hold
+        assert (any("associativity" in r for r in report)
+                == any("associativity" in r for r in oracle))
+    return report
+
+
+def _pair_groupoid_times_cyclic(objects, n):
+    """Objects with one arrow x -> y per element of Z/n for every x, y;
+    composing adds the elements."""
+    name = "{}{}_{}".format
+    homs = {(x, y): tuple(name(x, y, k) for k in range(n))
+            for x in objects for y in objects}
+    compose = {(name(y, z, b), name(x, y, a)): name(x, z, (a + b) % n)
+               for x in objects for y in objects for z in objects
+               for a in range(n) for b in range(n)}
+    return FinCategory(objects, homs, compose,
+                       {x: name(x, x, 0) for x in objects})
+
+
+def _group_categories():
+    groups = [("S_3", cyclo.symmetric_group_table(3)),
+              ("Q_8", cyclo.quaternion_group_table())]
+    groups += [(f"Z/{m}", cyclo.cyclic_group_table(m)) for m in range(1, 7)]
+    return [(name, monoid_category(*table)) for name, table in groups]
+
+
+def _truncated_free_monoid_with_zero(letters, bound):
+    """Words up to the bound; a longer concatenation is the absorbing 0.
+    The letters are products of nothing else."""
+    words = ["".join(w) for n in range(1, bound + 1)
+             for w in itertools.product(letters, repeat=n)]
+    els = ("1",) + tuple(words) + ("0",)
+
+    def mult(u, v):
+        if "0" in (u, v):
+            return "0"
+        uv = u.replace("1", "") + v.replace("1", "")
+        return (uv or "1") if len(uv) <= bound else "0"
+    return monoid_category(els, {(u, v): mult(u, v) for u in els for v in els},
+                           "1")
+
+
+def _random_unital_magma(seed):
+    rng = random.Random(seed)
+    els = ("e",) + tuple(f"x{i}" for i in range(rng.randrange(1, 5)))
+    mult = {(a, b): a if b == "e" else b if a == "e" else rng.choice(els)
+            for a in els for b in els}
+    return monoid_category(els, mult, "e")
+
+
+def test_light_test_agrees_with_triple_loop_on_valid_categories():
+    pool = small_category_pool() + _group_categories() + [
+        ("poset_div", poset_category(("1", "2", "3", "6"),
+                                     lambda a, b: int(b) % int(a) == 0)),
+        ("discrete3", discrete_category(("x", "y", "z"))),
+        ("parallel", parallel_pair_category()),
+        ("pair_x_z3", _pair_groupoid_times_cyclic(("a", "b"), 3)),
+    ]
+    for name, cat in pool:
+        assert assert_light_agrees_with_triple_loop(cat) == [], name
+
+
+def test_light_test_agrees_with_triple_loop_on_random_unital_magmas():
+    verdicts = set()
+    for seed in range(300):
+        report = assert_light_agrees_with_triple_loop(_random_unital_magma(seed))
+        verdicts.add(bool(report))
+    assert verdicts == {True, False}  # both associative and broken tables
+
+
+def _shuffled(base, table, rng):
+    """`base` with another composition table, its morphisms listed in a
+    random order (the order in which Light's test picks generators)."""
+    homs = {k: tuple(rng.sample(ms, len(ms))) for k, ms in base.homs.items()}
+    return FinCategory(base.objects, homs, table, base.units)
+
+
+def test_light_test_agrees_with_triple_loop_on_corrupted_tables():
+    rng = random.Random(20261018)
+    bases = [cat for _, cat in _group_categories() if len(cat.hom("*", "*")) > 2]
+    bases.append(_pair_groupoid_times_cyclic(("a", "b"), 2))
+    monoids = [_truncated_free_monoid_with_zero("ab", 2),
+               _truncated_free_monoid_with_zero("abc", 1)]
+    for cat in monoids:
+        assert assert_light_agrees_with_triple_loop(cat) == []
+    flagged = 0
+    for trial in range(240):
+        base = bases[trial % len(bases)]
+        table = dict(base.compose_table)
+        (g, f), h = rng.choice(sorted(table.items()))
+        others = [m for m in base.hom(base.src(f), base.tgt(g)) if m != h]
+        table[(g, f)] = rng.choice(others)
+        flagged += bool(assert_light_agrees_with_triple_loop(
+            _shuffled(base, table, rng)))
+    assert flagged == 240  # one changed entry of a group table is caught
+    # monoids with indecomposable elements: a corruption may stay
+    # associative, but the verdicts must still agree
+    verdicts = set()
+    for trial in range(240):
+        base = monoids[trial % len(monoids)]
+        table = dict(base.compose_table)
+        (g, f), h = rng.choice(sorted(table.items()))
+        table[(g, f)] = rng.choice([m for m in base.hom("*", "*") if m != h])
+        verdicts.add(bool(assert_light_agrees_with_triple_loop(
+            _shuffled(base, table, rng))))
+    assert verdicts == {True, False}
 
 
 # -- colimits and limits -------------------------------------------------------
