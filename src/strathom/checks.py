@@ -679,9 +679,9 @@ def suite_facthom() -> dict:
     return rep.as_dict()
 
 
-def suite_mixed() -> dict:
-    """Chain-level identities of the cyclic bar complex."""
-    rep = Report("mixed")
+def mixed_algebras():
+    """(name, algebra, depth) over Z, Q and F_5, small enough to build the
+    cyclic bar complex up to the depth."""
     algebras = [
         ("Q", enrich.ground_ring_algebra(QQ), 4),
         ("Q[Z/2]", enrich.group_algebra(QQ, *cyclo.cyclic_group_table(2)), 4),
@@ -693,7 +693,13 @@ def suite_mixed() -> dict:
         alg = random_associative_algebra(QQ, seed)
         if alg.dim("*", "*") <= 3:
             algebras.append((f"random{seed}", alg, 3))
-    for name, alg, depth in algebras:
+    return algebras
+
+
+def suite_mixed() -> dict:
+    """Chain-level identities of the cyclic bar complex."""
+    rep = Report("mixed")
+    for name, alg, depth in mixed_algebras():
         rep.check(not enrich.validate_linear_category(alg),
                   f"{name} is not associative/unital")
         cx = facthom.ChainComplexBundle(alg, depth)

@@ -38,18 +38,32 @@ class ValidationFailure(Exception):
         super().__init__("; ".join(map(str, report)))
 
 
-def _load_json(path):
+def _read_input(path):
+    """The text of an input file, read once: its bytes feed both the cache
+    key and the parse."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except FileNotFoundError as exc:
         raise SchemaError(f"no such file: {path}") from exc
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot read ({exc.strerror})") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def _load_json(path, text):
+    try:
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(data, dict):
+        raise SchemaError(f"{path}: expected a JSON object, "
+                          f"found {type(data).__name__}")
+    return data
 
 
-def load_category(path) -> FinCategory:
-    data = _load_json(path)
+def load_category(path, data) -> FinCategory:
     if "ring" in data:
         raise SchemaError(f"{path}: expected a Set-enriched category, "
                           "found a linear one (has 'ring')")
@@ -63,8 +77,7 @@ def load_category(path) -> FinCategory:
     return cat
 
 
-def load_algebra(path) -> LinearCategory:
-    data = _load_json(path)
+def load_algebra(path, data) -> LinearCategory:
     if "ring" not in data:
         raise SchemaError(f"{path}: linear input needs a 'ring' field")
     try:
@@ -77,8 +90,7 @@ def load_algebra(path) -> LinearCategory:
     return cat
 
 
-def load_manifold(path) -> GraphManifold:
-    data = _load_json(path)
+def load_manifold(path, data) -> GraphManifold:
     try:
         m = GraphManifold.from_json_dict(data)
     except (KeyError, ValueError, TypeError) as exc:
@@ -177,13 +189,13 @@ def render_table(result, indent="") -> str:
 # -- verbs --------------------------------------------------------------------------
 
 def cmd_hh(args):
-    alg = load_algebra(args.algebra)
+    alg = load_algebra(args.algebra, args.data["algebra"])
     groups = hochschild_homology(alg, args.max_degree)
     return {"verb": "hh", "ring": alg.ring.name, "groups": groups}
 
 
 def cmd_hc(args):
-    alg = load_algebra(args.algebra)
+    alg = load_algebra(args.algebra, args.data["algebra"])
     if args.negative:
         result = negative_cyclic_homology(alg, args.max_degree, args.i_max)
         return {"verb": "hc", "ring": alg.ring.name, "mode": "negative",
@@ -194,13 +206,13 @@ def cmd_hc(args):
 
 
 def cmd_thh_set(args):
-    cat = load_category(args.category)
+    cat = load_category(args.category, args.data["category"])
     table = thh_set_pi0(cat)
     return {"verb": "thh-set", **table.to_json_dict()}
 
 
 def cmd_tc0(args):
-    cat = load_category(args.category)
+    cat = load_category(args.category, args.data["category"])
     degrees = _parse_degrees(args.degrees)
     action = build_cyclo_action(cat, degrees)
     return {"verb": "tc0", "degrees": list(degrees),
@@ -209,15 +221,15 @@ def cmd_tc0(args):
 
 
 def cmd_trace(args):
-    cat = load_category(args.category)
+    cat = load_category(args.category, args.data["category"])
     return {"verb": "trace", "trace": trace0(cat).to_json_dict(),
             "model": MODEL_TAG}
 
 
 def cmd_facthom(args):
-    mani = load_manifold(args.manifold)
+    mani = load_manifold(args.manifold, args.data["manifold"])
     backend = args.backend
-    data = _load_json(args.category)
+    data = args.data["category"]
     is_linear = "ring" in data
     if backend == "set" and is_linear:
         raise ValidationFailure(["--backend set given but the category file "
@@ -226,7 +238,7 @@ def cmd_facthom(args):
         raise ValidationFailure([f"--backend {backend} given but the "
                                  "category file is Set-enriched"])
     if is_linear:
-        alg = load_algebra(args.category)
+        alg = load_algebra(args.category, data)
         if backend and backend != alg.ring.name:
             raise ValidationFailure([f"--backend {backend} does not match "
                                      f"ring {alg.ring.name}"])
@@ -236,7 +248,7 @@ def cmd_facthom(args):
         module = enr_facthom_disk(mani, alg)
         return {"verb": "facthom", "backend": alg.ring.name,
                 "dimension": module.dim}
-    cat = load_category(args.category)
+    cat = load_category(args.category, data)
     value = facthom_set_pi0(mani, cat)
     return {"verb": "facthom", "backend": "set", "model": MODEL_TAG,
             "cardinality": len(value)}
@@ -306,17 +318,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _input_fingerprint(args):
+# in the order their errors are reported: facthom's manifold before its category
+_INPUTS = ("algebra", "manifold", "category")
+
+
+def _input_fingerprint(args, texts):
     """Hashable view of everything that determines the result."""
-    payload = {"verb": args.verb}
-    for attr in ("algebra", "category", "manifold"):
-        path = getattr(args, attr, None)
-        if path:
-            try:
-                with open(path) as fh:
-                    payload[attr] = fh.read()
-            except OSError:
-                payload[attr] = None
+    payload = {"verb": args.verb, **texts}
     for attr in ("max_degree", "degrees", "backend", "suite", "negative",
                  "i_max"):
         if hasattr(args, attr):
@@ -328,12 +336,17 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.cache is None:
         args.cache = os.environ.get("FH_CACHE")
+    cache = None if args.verb == "check" else args.cache
     try:
-        key = _cache_key(_input_fingerprint(args))
-        result = _cached_result(_cache_lookup(args.cache, key))
+        texts = {attr: _read_input(getattr(args, attr))
+                 for attr in _INPUTS if hasattr(args, attr)}
+        key = _cache_key(_input_fingerprint(args, texts))
+        result = _cached_result(_cache_lookup(cache, key))
         if result is None:
+            args.data = {attr: _load_json(getattr(args, attr), text)
+                         for attr, text in texts.items()}
             result = args.fn(args)
-            _cache_store(args.cache, key, json.dumps(result, sort_keys=True))
+            _cache_store(cache, key, json.dumps(result, sort_keys=True))
     except ValidationFailure as exc:
         sys.stdout.write(render_json(
             {"error": {"type": "validation", "report": list(exc.report)}}))

@@ -302,8 +302,25 @@ def thh_set_pi0(cat: FinCategory) -> TraceClassTable:
 
 # -- the cyclic bar construction --------------------------------------------------
 
+def _bar_elements(cat, n: int):
+    """Level n of the cyclic bar construction, sorted, in either backend:
+    objects (x_0..x_n) with g_i a (basis) morphism in hom(x_i, x_{i+1 cyc})."""
+    return sorted(
+        (xs, gs) for xs in itertools.product(cat.objects, repeat=n + 1)
+        for gs in itertools.product(*(cat.hom(xs[i], xs[(i + 1) % (n + 1)])
+                                      for i in range(n + 1))))
+
+
 def _rotate(xs, gs):
     return (xs[-1],) + xs[:-1], (gs[-1],) + gs[:-1]
+
+
+def _set_face(cat, xs, gs, n, i):
+    """d_i composes g_i and g_{i+1}; the last face is d_n = d_0 ∘ rotation."""
+    if i == n:
+        (xs, gs), i = _rotate(xs, gs), 0
+    return (xs[:i + 1] + xs[i + 2:],
+            gs[:i] + (cat.compose(gs[i + 1], gs[i]),) + gs[i + 2:])
 
 
 class SetCyclicLevel:
@@ -313,21 +330,10 @@ class SetCyclicLevel:
 
     def __init__(self, cat: FinCategory, n: int):
         self.n = n
-        self.elements = tuple(sorted(_set_bar_elements(cat, n)))
-        self.faces = []
-        if n >= 1:
-            for i in range(n + 1):
-                fm = {}
-                for (xs, gs) in self.elements:
-                    if i < n:
-                        comp = cat.compose(gs[i + 1], gs[i])
-                        fm[(xs, gs)] = (xs[:i + 1] + xs[i + 2:],
-                                        gs[:i] + (comp,) + gs[i + 2:])
-                    else:
-                        comp = cat.compose(gs[0], gs[n])
-                        fm[(xs, gs)] = ((xs[n],) + xs[1:n],
-                                        (comp,) + gs[1:n])
-                self.faces.append(fm)
+        self.elements = tuple(_bar_elements(cat, n))
+        self.faces = [{(xs, gs): _set_face(cat, xs, gs, n, i)
+                       for (xs, gs) in self.elements}
+                      for i in range(n + 1)] if n >= 1 else []
         self.degens = []
         for i in range(n + 1):
             dm = {}
@@ -340,24 +346,47 @@ class SetCyclicLevel:
         self.cyclic = {(xs, gs): _rotate(xs, gs) for (xs, gs) in self.elements}
 
 
-def _set_bar_elements(cat: FinCategory, n: int):
-    for xs in itertools.product(cat.objects, repeat=n + 1):
-        homs = [cat.hom(xs[i], xs[(i + 1) % (n + 1)]) for i in range(n + 1)]
-        for gs in itertools.product(*homs):
-            yield (xs, gs)
-
-
 def cyclic_bar_set_level(cat: FinCategory, n: int) -> SetCyclicLevel:
     return SetCyclicLevel(cat, n)
 
 
-def _linear_bar_basis(cat: LinearCategory, n: int):
-    basis = []
-    for xs in itertools.product(cat.objects, repeat=n + 1):
-        homs = [cat.hom(xs[i], xs[(i + 1) % (n + 1)]) for i in range(n + 1)]
-        for gs in itertools.product(*homs):
-            basis.append((xs, gs))
-    return sorted(basis)
+# The linear structure maps, as functions of the bases of the levels they
+# read and write (`bases[n]`, and `index[n]` mapping it to positions).
+
+def _face_columns(cat, bases, index, n, i):
+    """d_i : C_n -> C_{n-1} as a list of columns, by `_set_face`'s formula."""
+    target = index[n - 1]
+    cols = []
+    for xs, gs in bases[n]:
+        j = i
+        if i == n:
+            (xs, gs), j = _rotate(xs, gs), 0
+        vec = cat.compose_basis(xs[j], xs[j + 1], xs[(j + 2) % (n + 1)],
+                                gs[j], gs[j + 1])
+        new_xs = xs[:j + 1] + xs[j + 2:]
+        col = {}
+        for k, c in vec.items():
+            col[target[(new_xs, gs[:j] + (k,) + gs[j + 2:])]] = c
+        cols.append(col)
+    return cols
+
+
+def _degeneracy_matrix(cat, bases, index, n, i) -> SparseMat:
+    """s_i : C_n -> C_{n+1}, inserting the unit after the i-th factor."""
+    cols = []
+    for xs, gs in bases[n]:
+        x = xs[(i + 1) % (n + 1)]
+        nx = xs[:i + 2] + (x,) + xs[i + 2:]
+        cols.append({index[n + 1][(nx, gs[:i + 1] + (k,) + gs[i + 1:])]: c
+                     for k, c in cat.unit_vector(x).items()})
+    return SparseMat.from_columns(len(bases[n + 1]), cols)
+
+
+def _cyclic_matrix(bases, index, n) -> SparseMat:
+    """The signed cyclic operator t_n = (-1)^n * rotation."""
+    sign = 1 if n % 2 == 0 else -1
+    return SparseMat.from_columns(len(bases[n]), [
+        {index[n][_rotate(xs, gs)]: sign} for xs, gs in bases[n]])
 
 
 class ChainComplexBundle:
@@ -372,7 +401,7 @@ class ChainComplexBundle:
         self.category = cat
         self.ring = cat.ring
         self.n_max = n_max
-        self.bases = [_linear_bar_basis(cat, n) for n in range(n_max + 1)]
+        self.bases = [_bar_elements(cat, n) for n in range(n_max + 1)]
         self.index = [{b: i for i, b in enumerate(basis)} for basis in self.bases]
         self.dims = [len(b) for b in self.bases]
         self.boundaries = [None]  # b_0 is undefined
@@ -381,7 +410,8 @@ class ChainComplexBundle:
 
     @functools.cached_property
     def cyclic(self):
-        return [self._cyclic(n) for n in range(self.n_max + 1)]
+        return [_cyclic_matrix(self.bases, self.index, n)
+                for n in range(self.n_max + 1)]
 
     @functools.cached_property
     def norms(self):
@@ -395,55 +425,13 @@ class ChainComplexBundle:
     def connes_b(self):
         return [self._connes_b(n) for n in range(self.n_max)]
 
-    def _face_columns(self, n, i):
-        """d_i : C_n -> C_{n-1} as a dict-of-columns."""
-        cat = self.category
-        cols = []
-        for (xs, gs) in self.bases[n]:
-            col = {}
-            if i < n:
-                x, y, z = xs[i], xs[i + 1], xs[(i + 2) % (n + 1)]
-                vec = cat.compose_basis(x, y, z, gs[i], gs[i + 1])
-                new_xs = xs[:i + 1] + xs[i + 2:]
-                for k, c in vec.items():
-                    tgt = (new_xs, gs[:i] + (k,) + gs[i + 2:])
-                    col[self.index[n - 1][tgt]] = col.get(
-                        self.index[n - 1][tgt], 0) + c
-            else:
-                vec = cat.compose_basis(xs[n], xs[0], xs[1], gs[n], gs[0])
-                new_xs = (xs[n],) + xs[1:n]
-                for k, c in vec.items():
-                    tgt = (new_xs, (k,) + gs[1:n])
-                    col[self.index[n - 1][tgt]] = col.get(
-                        self.index[n - 1][tgt], 0) + c
-            cols.append(col)
-        return cols
-
-    def face_matrix(self, n, i) -> SparseMat:
-        """d_i : C_n -> C_{n-1} (unsigned)."""
-        return SparseMat.from_columns(self.dims[n - 1],
-                                      self._face_columns(n, i))
-
-    def degeneracy_matrix(self, n, i) -> SparseMat:
-        """s_i : C_n -> C_{n+1}, inserting the unit after the i-th factor."""
-        cat = self.category
-        cols = []
-        for (xs, gs) in self.bases[n]:
-            idx = (i + 1) % (n + 1)
-            nx = xs[:i + 2] + (xs[idx],) + xs[i + 2:]
-            col = {}
-            for k, c in cat.unit_vector(xs[idx]).items():
-                ng = gs[:i + 1] + (k,) + gs[i + 1:]
-                col[self.index[n + 1][(nx, ng)]] = c
-            cols.append(col)
-        return SparseMat.from_columns(self.dims[n + 1], cols)
-
     def _boundary(self, n) -> SparseMat:
         ring = self.ring
         total = [dict() for _ in range(self.dims[n])]
         for i in range(n + 1):
             sign = 1 if i % 2 == 0 else -1
-            for j, col in enumerate(self._face_columns(n, i)):
+            for j, col in enumerate(_face_columns(self.category, self.bases,
+                                                  self.index, n, i)):
                 acc = total[j]
                 for row, v in col.items():
                     w = ring.add(acc.get(row, 0), ring.mul(sign, v))
@@ -452,14 +440,6 @@ class ChainComplexBundle:
                     else:
                         acc[row] = w
         return SparseMat.from_columns(self.dims[n - 1], total)
-
-    def _cyclic(self, n) -> SparseMat:
-        """The signed cyclic operator t_n = (-1)^n * rotation."""
-        sign = 1 if n % 2 == 0 else -1
-        cols = []
-        for (xs, gs) in self.bases[n]:
-            cols.append({self.index[n][_rotate(xs, gs)]: sign})
-        return SparseMat.from_columns(self.dims[n], cols)
 
     def _norm(self, n) -> SparseMat:
         t = self.cyclic[n]
@@ -516,17 +496,22 @@ def connes_B(cat: LinearCategory, n: int) -> SparseMat:
 
 class LinearCyclicLevel:
     """Level n of the linear cyclic bar construction: the based module with
-    its face, degeneracy and signed cyclic operator matrices."""
+    its face, degeneracy and signed cyclic operator matrices, built from the
+    bases of levels n - 1, n and n + 1 alone."""
 
     def __init__(self, cat: LinearCategory, n: int):
         from .enrich import Module
-        bundle = ChainComplexBundle(cat, n + 1)
+        bases = {d: _bar_elements(cat, d) for d in range(max(n - 1, 0), n + 2)}
+        index = {d: {b: i for i, b in enumerate(basis)}
+                 for d, basis in bases.items()}
         self.n = n
-        self.module = Module(cat.ring, tuple(bundle.bases[n]))
-        self.faces = ([bundle.face_matrix(n, i) for i in range(n + 1)]
-                      if n >= 1 else [])
-        self.degens = [bundle.degeneracy_matrix(n, i) for i in range(n + 1)]
-        self.cyclic = bundle.cyclic[n]
+        self.module = Module(cat.ring, tuple(bases[n]))
+        self.faces = [SparseMat.from_columns(
+            len(bases[n - 1]), _face_columns(cat, bases, index, n, i))
+            for i in range(n + 1)] if n >= 1 else []
+        self.degens = [_degeneracy_matrix(cat, bases, index, n, i)
+                       for i in range(n + 1)]
+        self.cyclic = _cyclic_matrix(bases, index, n)
 
 
 def cyclic_bar_level(cat, n: int):
@@ -552,53 +537,46 @@ def _groups(dims, boundaries, ring):
             in enumerate(chain_homology(dims, boundaries, ring))]
 
 
-def _total_complex(complex_: ChainComplexBundle, n_max: int):
-    """First-quadrant (b, B) total complex: Tot_n = C_n + C_{n-2} + ...;
-    the differential sends the i-th block by b into block i and by B into
-    block i - 1 of the target."""
-    dims = []
-    offsets = []
+def _total_complex(complex_: ChainComplexBundle, n_max: int, columns):
+    """The (b, B) total complex Tot_n = sum of C_(n-2i) over the i in
+    `columns` with 0 <= n - 2i <= complex_.n_max, in the order of `columns`.
+    The differential maps C_d by b into column i and by B into column i - 1.
+    Returns the dims and the maps Tot_n -> Tot_(n-1) for n = 0..n_max + 1."""
+    offsets, dims = {}, {}
+    for n in range(-1, n_max + 2):
+        offsets[n], dims[n] = {}, 0
+        for i in columns:
+            if 0 <= n - 2 * i <= complex_.n_max:
+                offsets[n][i] = dims[n]
+                dims[n] += complex_.dims[n - 2 * i]
+
+    def put(m, row_off, col_off, block):
+        # each source block owns its columns, and its b and B land in
+        # different target blocks: no entry is written twice
+        for r, row in enumerate(block.rows):
+            target = m.rows[row_off + r]
+            for j, v in row.items():
+                target[col_off + j] = v
+
+    mats = []
     for n in range(n_max + 2):
-        blocks = [n - 2 * i for i in range(n // 2 + 1)]
-        offs = []
-        total = 0
-        for d in blocks:
-            offs.append(total)
-            total += complex_.dims[d]
-        dims.append(total)
-        offsets.append((blocks, offs))
-    mats = [None]
-    for n in range(1, n_max + 2):
-        blocks, offs = offsets[n]
-        _, toffs = offsets[n - 1]
         m = SparseMat(dims[n - 1], dims[n])
-        for bi, d in enumerate(blocks):
-            src_off = offs[bi]
-            if d >= 1:
-                # b : C_d -> C_{d-1}, target block index bi
-                t_off = toffs[bi]
-                for i, row in enumerate(complex_.boundaries[d].rows):
-                    for j, v in row.items():
-                        m.rows[t_off + i][src_off + j] = v
-            if bi >= 1 and d + 1 <= complex_.n_max:
-                # B : C_d -> C_{d+1}, target block index bi - 1
-                t_off = toffs[bi - 1]
-                for i, row in enumerate(complex_.connes_b[d].rows):
-                    for j, v in row.items():
-                        w = m.rows[t_off + i].get(src_off + j, 0) + v
-                        if w == 0:
-                            m.rows[t_off + i].pop(src_off + j, None)
-                        else:
-                            m.rows[t_off + i][src_off + j] = w
+        below = offsets[n - 1]
+        for i, col_off in offsets[n].items():
+            d = n - 2 * i
+            if i in below:
+                put(m, below[i], col_off, complex_.boundaries[d])
+            if i - 1 in below:
+                put(m, below[i - 1], col_off, complex_.connes_b[d])
         mats.append(m)
-    return dims, mats
+    return [dims[n] for n in range(n_max + 2)], mats
 
 
 def cyclic_homology(cat: LinearCategory, n_max: int):
     """First-quadrant cyclic homology in degrees 0..n_max: the homology of
     the (b, B) total complex, computed exactly per degree."""
     complex_ = ChainComplexBundle(cat, n_max + 1)
-    dims, mats = _total_complex(complex_, n_max)
+    dims, mats = _total_complex(complex_, n_max, range(n_max // 2 + 2))
     return _groups(dims, mats, cat.ring)
 
 
@@ -613,49 +591,11 @@ def negative_cyclic_homology(cat: LinearCategory, n_max: int, i_max: int = 3):
     Without one, "exact" is false and "hh_vanishes_above" and
     "certificate" are null.
     """
-    top = n_max + 2 * i_max + 1
-    complex_ = ChainComplexBundle(cat, top)
-    # degree index runs from -1 (the target of D_0 is nonzero here, unlike
-    # the first-quadrant complex) up to n_max + 1
-    dims = {}
-    offsets = {}
-    for n in range(-1, n_max + 2):
-        blocks = [n + 2 * i for i in range(i_max + 1)
-                  if 0 <= n + 2 * i <= top]
-        offs = []
-        total = 0
-        for d in blocks:
-            offs.append(total)
-            total += complex_.dims[d]
-        dims[n] = total
-        offsets[n] = (blocks, offs)
-    mats = {}
-    for n in range(0, n_max + 2):
-        blocks, offs = offsets[n]
-        tblocks, toffs = offsets[n - 1]
-        tindex = {d: toffs[k] for k, d in enumerate(tblocks)}
-        m = SparseMat(dims[n - 1], dims[n])
-        for bi, d in enumerate(blocks):
-            src_off = offs[bi]
-            if d >= 1 and d - 1 in tindex:
-                t_off = tindex[d - 1]
-                for i, row in enumerate(complex_.boundaries[d].rows):
-                    for j, v in row.items():
-                        m.rows[t_off + i][src_off + j] = v
-            if d < complex_.n_max and d + 1 in tindex:
-                t_off = tindex[d + 1]
-                for i, row in enumerate(complex_.connes_b[d].rows):
-                    for j, v in row.items():
-                        w = m.rows[t_off + i].get(src_off + j, 0) + v
-                        if w == 0:
-                            m.rows[t_off + i].pop(src_off + j, None)
-                        else:
-                            m.rows[t_off + i][src_off + j] = w
-        mats[n] = m
-    groups = _groups([dims[n] for n in range(n_max + 2)],
-                     [mats[n] for n in range(n_max + 2)], cat.ring)
+    complex_ = ChainComplexBundle(cat, n_max + 2 * i_max + 1)
+    dims, mats = _total_complex(complex_, n_max, range(0, -i_max - 1, -1))
     separable = is_separable(cat)
-    return {"groups": groups, "truncated_at_column": i_max,
+    return {"groups": _groups(dims, mats, cat.ring),
+            "truncated_at_column": i_max,
             "hh_vanishes_above": 0 if separable else None,
             "certificate": "separable" if separable else None,
             "exact": separable}

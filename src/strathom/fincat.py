@@ -198,16 +198,18 @@ def validate_category(cat: FinCategory):
             report.append(f"entry ({g},{f}) is not composable")
         elif cat._src[h] != cat._src[f] or cat._tgt[h] != cat._tgt[g]:
             report.append(f"composite {h} of ({g},{f}) has wrong endpoints")
-    # totality
-    for f in names:
-        for g in names:
-            if f in cat._tgt and g in cat._src and cat._tgt[f] == cat._src[g]:
-                if (g, f) not in cat.compose_table:
-                    report.append(f"missing composite ({g},{f})")
+    # totality, over the composable pairs only
+    out_of = {}
+    for g, x in cat._src.items():
+        out_of.setdefault(x, []).append(g)
+    for f in cat.morphisms():
+        for g in out_of.get(cat._tgt.get(f), ()):
+            if (g, f) not in cat.compose_table:
+                report.append(f"missing composite ({g},{f})")
     if report:
         return report
     # unit laws and associativity only make sense on a total table
-    for f in names:
+    for f in cat.morphisms():
         if cat.compose_table[(cat.units[cat._tgt[f]], f)] != f:
             report.append(f"left unit law fails at {f}")
         if cat.compose_table[(f, cat.units[cat._src[f]])] != f:

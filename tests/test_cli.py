@@ -261,3 +261,82 @@ def test_cache_path_naming_a_file_is_skipped(inputs, tmp_path, capsys):
     assert code == 0
     assert out == fresh
     assert blocker.read_text() == "not a directory"
+
+
+# -- inputs are read once, and a bad input file is a schema error ---------------
+
+def test_stdout_does_not_depend_on_the_hash_seed(tmp_path):
+    """A partial table's validation report comes in a fixed order."""
+    import os
+    import subprocess
+    import sys
+    import strathom
+    from strathom.cyclo import free_monoid_category
+    path = tmp_path / "fm.json"
+    path.write_text(json.dumps(free_monoid_category(2, 2).to_json_dict()))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(strathom.__file__)))
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        env.pop("FH_CACHE", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "strathom.cli", "tc0", "--category",
+             str(path)], env=env, capture_output=True, text=True)
+        assert proc.returncode == 1
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert "missing composite" in outs[0]
+
+
+@pytest.mark.parametrize("case", ["directory", "not_utf8", "array"])
+def test_bad_input_file_is_a_schema_error(case, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    if case == "directory":
+        path.mkdir()
+    elif case == "not_utf8":
+        path.write_bytes(b"\xff\xfe{}")
+    else:
+        path.write_text("[1, 2]")
+    code, out = run(capsys, "thh-set", "--category", str(path))
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "schema"
+    assert error["message"].startswith(str(path))
+
+
+def test_each_input_file_is_opened_once(inputs, capsys, monkeypatch):
+    import builtins
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.delenv("FH_CACHE", raising=False)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    code, _ = run(capsys, "facthom", "--manifold", inputs["s1"],
+                  "--category", inputs["idem"])
+    assert code == 0
+    code, _ = run(capsys, "hh", "--algebra", inputs["q"])
+    assert code == 0
+    assert sorted(opened) == sorted([inputs["s1"], inputs["idem"],
+                                     inputs["q"]])
+
+
+def test_check_is_never_cached(tmp_path, capsys, monkeypatch):
+    import strathom.cli as cli
+    calls = []
+    real_run_suite = cli.run_suite
+
+    def counting_run_suite(name):
+        calls.append(name)
+        return real_run_suite(name)
+
+    monkeypatch.setattr(cli, "run_suite", counting_run_suite)
+    cache = tmp_path / "cache"
+    outs = [run(capsys, "check", "--suite", "segal", "--cache", str(cache))
+            for _ in range(2)]
+    assert outs[0] == outs[1] and outs[0][0] == 0
+    assert calls == ["segal", "segal"]
+    assert not cache.exists() or not list(cache.iterdir())

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from strathom.checks import mixed_algebras
 from strathom.exactla import QQ, RingFp, SparseMat, ZZ
 from strathom.enrich import (ground_ring_algebra, group_algebra,
                              matrix_algebra, nerve, product_algebra,
@@ -12,7 +13,7 @@ from strathom.facthom import (ChainComplexBundle, cart_facthom_disk, connes_B,
                               cyclic_bar_set_level, cyclic_homology,
                               enr_facthom_disk, facthom_set_pi0,
                               hochschild_homology, negative_cyclic_homology,
-                              thh_set_pi0)
+                              _total_complex, thh_set_pi0)
 from strathom.fincat import (discrete_category, monoid_category,
                              poset_category, walking_idempotent)
 from strathom.indexing import standard_interval
@@ -283,6 +284,35 @@ def test_negative_cyclic_of_z_z3_is_not_exact():
 
 
 # -- mixed complex identities -----------------------------------------------------------------------
+
+# -- the (b, B) total complex shared by HC and HC^- --------------------------------------
+
+MIXED = mixed_algebras()
+
+
+@pytest.mark.parametrize("alg, depth", [m[1:] for m in MIXED],
+                         ids=[m[0] for m in MIXED])
+def test_column_zero_alone_is_the_hochschild_complex(alg, depth):
+    assert negative_cyclic_homology(alg, depth - 1, i_max=0)["groups"] \
+        == hochschild_homology(alg, depth - 1)
+
+
+@pytest.mark.parametrize("alg, depth", [m[1:] for m in MIXED],
+                         ids=[m[0] for m in MIXED])
+def test_total_complex_differential_squares_to_zero(alg, depth):
+    n_hc, n_neg, i_max = depth - 1, depth - 3, 1
+    cases = [(ChainComplexBundle(alg, n_hc + 1), n_hc, range(n_hc // 2 + 2)),
+             (ChainComplexBundle(alg, n_neg + 2 * i_max + 1), n_neg,
+              range(0, -i_max - 1, -1))]
+    for complex_, n_max, columns in cases:
+        dims, mats = _total_complex(complex_, n_max, columns)
+        assert len(dims) == len(mats) == n_max + 2
+        assert [m.ncols for m in mats] == dims
+        for lower, upper in zip(mats, mats[1:]):
+            square = lower.mul(upper)
+            assert all(alg.ring.is_zero(v) for row in square.rows
+                       for v in row.values())
+
 
 def test_connes_b_degree_zero_against_identities():
     alg = ground_ring_algebra(QQ)

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from strathom import cyclo, fincat
@@ -30,6 +31,27 @@ def test_missing_composite_is_reported_not_raised():
     cat = FinCategory(("*",), homs, compose, {"*": "id"})
     report = validate_category(cat)
     assert any("missing composite (phi,phi)" in r for r in report)
+
+
+def test_chain_poset_validates_over_composable_pairs_only():
+    # 3,240 morphisms: a pass over all ordered pairs would visit 10.5 M
+    cat = poset_category(range(80), lambda a, b: a <= b)
+    assert validate_category(cat) == []
+
+
+@pytest.mark.parametrize("name", ["S3", "divisibility"])
+def test_deleted_entries_are_reported_exactly_and_in_a_fixed_order(name):
+    full = (cyclo.group_category(*cyclo.symmetric_group_table(3))
+            if name == "S3" else
+            poset_category(range(1, 13), lambda a, b: b % a == 0))
+    rng = random.Random(5)
+    deleted = rng.sample(sorted(full.compose_table), 7)
+    compose = {k: v for k, v in full.compose_table.items() if k not in deleted}
+    cat = FinCategory(full.objects, full.homs, compose, full.units)
+    # f in morphisms() order, then g in morphisms() order
+    assert validate_category(cat) == [
+        f"missing composite ({g},{f})" for f in cat.morphisms()
+        for g in cat.morphisms() if (g, f) in deleted]
 
 
 def test_dangling_identifier_reported():
