@@ -4,8 +4,9 @@ Verbs map onto the library entry points: hh / hc (linear backends), thh-set
 / tc0 / trace / facthom (Set backend), and check (invariant suites).  All
 numeric output is exact -- integers and "p/q" strings, never floats -- and
 repeated runs with identical inputs produce byte-identical output.  Results
-are cached by content hash of inputs and options; cache writes go through a
-temp file and an atomic rename.
+are cached by content hash of inputs and options, the package version and a
+digest of the package's sources; cache writes go through a temp file and an
+atomic rename.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import os
 import sys
 import tempfile
 
+from . import __version__
 from .checks import SUITES, run_suite
 from .cyclo import DEFAULT_DEGREES, MODEL_TAG, build_cyclo_action, trace0
 from .enrich import LinearCategory, validate_enriched_cat
@@ -113,6 +115,21 @@ def _parse_degrees(text):
 
 # -- cache ------------------------------------------------------------------------
 
+@functools.cache
+def _code_digest() -> str:
+    """sha256 of the package's Python sources, read once per process, so
+    that no cache entry made by other code is served."""
+    digest = hashlib.sha256()
+    package = os.path.dirname(os.path.abspath(__file__))
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as fh:
+                source = fh.read()
+            digest.update(f"{name}\0{len(source)}\0".encode())
+            digest.update(source)
+    return digest.hexdigest()
+
+
 def _cache_key(payload) -> str:
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -148,15 +165,24 @@ def _cache_store(cache_dir, key, text):
                 pass
 
 
-def _cached_result(text):
-    """The result held by a cache entry, or None for an absent entry or one
-    that does not parse to a JSON object (then it is a miss)."""
+def _cache_entry(key, verb, result) -> str:
+    return json.dumps({"key": key, "verb": verb, "result": result},
+                      sort_keys=True)
+
+
+def _cached_result(text, key, verb):
+    """The result held by a cache entry, or None (a miss) for an absent
+    entry, one that does not parse, or one made for another key or verb."""
     if text is None:
         return None
     try:
-        result = json.loads(text)
+        entry = json.loads(text)
     except ValueError:
         return None
+    if (not isinstance(entry, dict) or entry.get("key") != key
+            or entry.get("verb") != verb):
+        return None
+    result = entry.get("result")
     return result if isinstance(result, dict) else None
 
 
@@ -323,8 +349,10 @@ _INPUTS = ("algebra", "manifold", "category")
 
 
 def _input_fingerprint(args, texts):
-    """Hashable view of everything that determines the result."""
-    payload = {"verb": args.verb, **texts}
+    """Hashable view of everything that determines the result, the code
+    that computes it included."""
+    payload = {"verb": args.verb, "version": __version__,
+               "code": _code_digest(), **texts}
     for attr in ("max_degree", "degrees", "backend", "suite", "negative",
                  "i_max"):
         if hasattr(args, attr):
@@ -340,13 +368,13 @@ def main(argv=None) -> int:
     try:
         texts = {attr: _read_input(getattr(args, attr))
                  for attr in _INPUTS if hasattr(args, attr)}
-        key = _cache_key(_input_fingerprint(args, texts))
-        result = _cached_result(_cache_lookup(cache, key))
+        key = _cache_key(_input_fingerprint(args, texts)) if cache else None
+        result = _cached_result(_cache_lookup(cache, key), key, args.verb)
         if result is None:
             args.data = {attr: _load_json(getattr(args, attr), text)
                          for attr, text in texts.items()}
             result = args.fn(args)
-            _cache_store(cache, key, json.dumps(result, sort_keys=True))
+            _cache_store(cache, key, _cache_entry(key, args.verb, result))
     except ValidationFailure as exc:
         sys.stdout.write(render_json(
             {"error": {"type": "validation", "report": list(exc.report)}}))

@@ -10,6 +10,9 @@ restriction along pointed maps.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
+from collections.abc import Sequence
 
 from .exactla import Ring, SparseMat, cokernel_invariants, ring_from_name
 from .fincat import FinCategory, SimplicialFinSet, validate_category
@@ -34,6 +37,48 @@ def sets_bijective(a, b):
     return dict(zip(sorted(a, key=repr), sorted(b, key=repr)))
 
 
+class Product(Sequence):
+    """The product of finite value sets, one per slot, as a lazy mixed-radix
+    sequence.
+
+    Write q in mixed radix with one digit per slot, radix len(factors[k]) at
+    slot k and the last slot least significant.  Element q is the tuple of
+    pairs (slots[k], factors[k][digit_k]), so the elements run in the order
+    of `itertools.product(*factors)`.  Nothing is built until it is read:
+    the length is the product of the factor sizes, and `p[q]` decodes one
+    element.  An empty slot list gives the one-point product `((),)`.
+    """
+
+    __slots__ = ("slots", "factors", "_len")
+
+    def __init__(self, slots, factors):
+        self.slots = tuple(slots)
+        self.factors = tuple(factors)
+        self._len = math.prod(map(len, self.factors))
+
+    def __len__(self):
+        return self._len
+
+    def __iter__(self):
+        return map(tuple, map(zip, itertools.repeat(self.slots),
+                              itertools.product(*self.factors)))
+
+    def __getitem__(self, q):
+        q = operator.index(q)
+        if q < 0:
+            q += self._len
+        if not 0 <= q < self._len:
+            raise IndexError("Product index out of range")
+        values = []
+        for factor in reversed(self.factors):
+            q, digit = divmod(q, len(factor))
+            values.append(factor[digit])
+        return tuple(zip(self.slots, reversed(values)))
+
+    def __repr__(self):
+        return f"Product({self.slots!r}, {self.factors!r})"
+
+
 def corr_pushforward(span: FinSpan, family):
     """Push a family of finite sets through a span.
 
@@ -42,15 +87,18 @@ def corr_pushforward(span: FinSpan, family):
 
         (V_s)_{s in S}  |->  ( prod_{u in psi^{-1}(t)} V_{phi(u)} )_{t in T}
 
-    Elements are tuples of (apex element, value) pairs, fiber sorted by
-    apex element, so outputs are deterministic.
+    Each value is a `Product` laid out over the fiber, sorted by `repr` so
+    outputs are deterministic, with factor V_{phi(u)} at slot u.  Its
+    elements are tuples of (apex element, value) pairs, built only when they
+    are read.  The fibers come from one pass over the apex.
     """
+    fibers = {}
+    for u in span.apex:
+        fibers.setdefault(span.to_right[u], []).append(u)
     out = {}
     for t in span.right:
-        fiber = sorted((u for u in span.apex if span.to_right[u] == t), key=repr)
-        choices = [family[span.to_left[u]] for u in fiber]
-        out[t] = tuple(tuple(zip(fiber, combo))
-                       for combo in itertools.product(*choices))
+        fiber = sorted(fibers.get(t, ()), key=repr)
+        out[t] = Product(fiber, [family[span.to_left[u]] for u in fiber])
     return out
 
 
@@ -94,25 +142,27 @@ def _not_functorial(t, reason):
 
 
 def corr_pushforward_index_check(a: FinSpan, b: FinSpan, family, inner=None):
-    """Pushforward functoriality, checked element by element in index space.
+    """Pushforward functoriality, checked for every element in index space.
 
     Pushes the family through the composite span and through a then b, and
-    matches the two results by position instead of regrouping tuples.  Both
-    sides are mixed-radix products.  A composite element at position p has
-    one digit per slot (u, v) of its fiber; the two-step position has one
-    digit per v, itself a mixed-radix number over the u above that v.  So p
-    maps digit by digit to a two-step position q, and each q is marked in a
-    bytearray.  The slot orders are read from the first element on each
-    side, i.e. they are the layouts that `compose_spans` and
-    `corr_pushforward` produced; the radices are the sizes of the family's
-    sets.
+    matches the two `Product`s by position instead of building tuples.  A
+    composite element at position p has one digit per slot (u, v) of its
+    fiber; the two-step position has one digit per v, itself a mixed-radix
+    number over the u above that v.  So p maps digit by digit to a two-step
+    position q, read off the two layouts alone.
+
+    The map keeps digits, and a `Product`'s value at slot k of element p is
+    `factors[k][digit_k(p)]`.  So the values of every matched pair agree
+    exactly when the two sides hold equal value sets at each slot: one
+    comparison per slot covers every element.  The images of all composite
+    positions are still computed, and must be a bijection onto the two-step
+    positions.
 
     Returns, per element t of b.right, the list whose p-th entry is the
     two-step position matched with composite position p.  Raises
-    AssertionError unless every composite element has an image, no two share
-    one, every two-step element is hit, and the values at matched positions
-    agree.  `inner` may carry a precomputed pushforward of the family
-    through `a`.
+    AssertionError unless the slot sets agree, the value sets agree at every
+    slot, and the images are a bijection.  `inner` may carry a precomputed
+    pushforward of the family through `a`.
     """
     from .manifold import compose_spans
     comp = compose_spans(a, b)
@@ -122,49 +172,36 @@ def corr_pushforward_index_check(a: FinSpan, b: FinSpan, family, inner=None):
     positions = {}
     for t in b.right:
         composite, two_step = direct[t], step2[t]
-        if not composite or not two_step:
-            if composite or two_step:
-                raise _not_functorial(t, "exactly one side is empty")
-            positions[t] = []
-            continue
-        # each two-step slot (u, v) -> (block j of v, offset i of u, weight
-        # of its digit in the two-step position)
+        # each two-step slot (u, v) -> (its value set, the weight of its
+        # digit in the two-step position)
         place = {}
         block = 1
-        for j in reversed(range(len(two_step[0]))):
-            v, group = two_step[0][j]
+        for v, group in zip(reversed(two_step.slots), reversed(two_step.factors)):
             w = block
-            for i in reversed(range(len(group))):
-                u = group[i][0]
-                place[(u, v)] = (j, i, w)
-                w *= len(family[a.to_left[u]])
-            block *= len(step1[b.to_left[v]])
-        slots = [key for key, _ in composite[0]]
-        if len(slots) != len(place) or set(slots) != place.keys():
+            for u, values in zip(reversed(group.slots), reversed(group.factors)):
+                place[(u, v)] = (values, w)
+                w *= len(values)
+            block *= len(group)
+        if len(composite.slots) != len(place) or place.keys() != set(composite.slots):
             raise _not_functorial(t, "composite and two-step slots differ")
+        weights = []
+        for key, values in zip(composite.slots, composite.factors):
+            their_values, w = place[key]
+            if values != their_values:
+                raise _not_functorial(t, f"value sets differ at slot {key!r}")
+            weights.append(w)
         # itertools.product runs through the digits of p = 0, 1, ... in
         # order, so the sum of digit * weight is the image of p
         images = list(map(sum, itertools.product(*(
-            [d * place[key][2] for d in range(len(family[comp.to_left[key]]))]
-            for key in slots))))
-        if len(images) != len(composite):
+            [d * w for d in range(len(values))]
+            for w, values in zip(weights, composite.factors)))))
+        if len(images) != len(two_step):
             raise _not_functorial(
-                t, f"{len(composite)} composite elements, "
-                   f"but its factors multiply to {len(images)}")
-        if max(images) >= len(two_step):
-            raise _not_functorial(t, "a composite element has no image")
-        marks = bytearray(len(two_step))
-        places = [place[key] for key in slots]
-        for elem, q in zip(composite, images):
-            if marks[q]:
-                raise _not_functorial(t, "two composite elements share an image")
-            marks[q] = 1
-            image = two_step[q]
-            for (_, x), (j, i, _) in zip(elem, places):
-                if image[j][1][i][1] != x:
-                    raise _not_functorial(t, "values disagree at matched positions")
-        if 0 in marks:
-            raise _not_functorial(t, "a two-step element is not hit")
+                t, f"{len(images)} composite elements, {len(two_step)} two-step")
+        if images and (max(images) >= len(two_step)
+                       or len(set(images)) != len(images)):
+            raise _not_functorial(
+                t, "composite positions do not map onto the two-step ones")
         positions[t] = images
     return positions
 

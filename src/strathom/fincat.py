@@ -180,10 +180,7 @@ def validate_category(cat: FinCategory):
     for (s, t), ms in cat.homs.items():
         if s not in cat.objects or t not in cat.objects:
             report.append(f"hom ({s},{t}) references unknown object")
-        for m in ms:
-            if m in names:
-                report.append(f"duplicate morphism name {m}")
-            names.add(m)
+        names.update(ms)
     for x in cat.objects:
         u = cat.units.get(x)
         if u is None:

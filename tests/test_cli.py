@@ -119,6 +119,18 @@ def test_validation_error_exit_code(tmp_path, capsys):
     assert any("missing composite" in r for r in data["error"]["report"])
 
 
+def test_repeated_morphism_name_is_a_schema_error(tmp_path, capsys):
+    """A hom list that repeats a name is rejected while the file is read,
+    before any validation report could be made."""
+    p = tmp_path / "repeated.json"
+    p.write_text(json.dumps(dict(IDEM, homs={"*->*": ["id", "phi", "id"]})))
+    code, out = run(capsys, "thh-set", "--category", str(p))
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "schema"
+    assert error["message"] == f"{p}: morphism name 'id' reused"
+
+
 def test_backend_mismatch_is_validation_error(inputs, capsys):
     code, out = run(capsys, "facthom", "--manifold", inputs["s1"],
                     "--category", inputs["q"], "--backend", "set")
@@ -250,6 +262,49 @@ def test_unparseable_cache_entry_is_a_miss_and_is_overwritten(inputs, tmp_path,
     assert code == 0
     assert out == fresh
     assert entry.read_text() == stored
+
+
+def _stored_entry(cache):
+    (entry,) = cache.glob("*.json")
+    return entry, json.loads(entry.read_text())
+
+
+@pytest.mark.parametrize("field,value", [("verb", "trace"), ("key", "0" * 64)])
+def test_entry_for_another_verb_or_key_is_a_miss_and_is_overwritten(
+        inputs, tmp_path, capsys, field, value):
+    cache = tmp_path / "cache"
+    argv = ("tc0", "--category", inputs["idem"], "--cache", str(cache))
+    _, fresh = run(capsys, *argv)
+    entry, stored = _stored_entry(cache)
+    assert stored["verb"] == "tc0" and stored["key"] == entry.stem
+    stored_text = entry.read_text()
+    tampered = dict(stored, result={"verb": "tc0", "tc0": ["forged"]})
+    tampered[field] = value
+    entry.write_text(json.dumps(tampered))
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out == fresh
+    assert entry.read_text() == stored_text
+
+
+def test_entry_made_by_other_code_is_not_served(inputs, tmp_path, capsys,
+                                                monkeypatch):
+    import strathom.cli as cli
+    cache = tmp_path / "cache"
+    argv = ("tc0", "--category", inputs["idem"], "--cache", str(cache))
+    _, fresh = run(capsys, *argv[:-2])
+    monkeypatch.setattr(cli, "_code_digest", lambda: "other sources")
+    run(capsys, *argv)
+    entry, stored = _stored_entry(cache)
+    entry.write_text(json.dumps(dict(stored, result={"verb": "tc0",
+                                                     "tc0": ["forged"]})))
+    # under its own digest the forged entry is served ...
+    assert "forged" in run(capsys, *argv)[1]
+    monkeypatch.undo()
+    # ... but not to the current sources
+    code, out = run(capsys, *argv)
+    assert code == 0 and out == fresh
+    assert len(list(cache.glob("*.json"))) == 2
 
 
 def test_cache_path_naming_a_file_is_skipped(inputs, tmp_path, capsys):

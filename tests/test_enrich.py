@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from strathom.enrich import (LinearCategory, algebra_from_table,
                              tensor_all_sets, tensor_all_modules,
                              truncated_polynomial_algebra,
                              validate_enriched_cat, validate_linear_category,
-                             Module, zero_algebra)
+                             Module, Product, zero_algebra)
 from strathom.fincat import poset_category, walking_idempotent
 from strathom.manifold import FinSpan, compose_spans
 from strathom.cyclo import cyclic_group_table
@@ -104,7 +105,38 @@ def test_diagonal_then_square():
 def test_empty_fiber_gives_unit():
     span = FinSpan(("s",), (), ("t",), {}, {})
     out = corr_pushforward(span, {"s": ("a", "b")})
-    assert out["t"] == ((),)
+    assert tuple(out["t"]) == ((),)
+
+
+def test_pushforward_layouts_read_as_their_tuples():
+    """Each pushforward reads, by iteration and by index, as the tuples of an
+    inline `itertools.product` over its fiber, on a seeded sample of the
+    corr suite's span pairs, with the suite's family and one whose value
+    sets can be empty."""
+    pairs = [(a, b) for a, out_of in checks.corr_span_pairs() for b in out_of]
+    empty_values = 0
+    for a, b in random.Random(23).sample(pairs, 300):
+        for fam in ({s: tuple(range((s % 3) + 1)) for s in a.left},
+                    {s: tuple("xyz"[:s]) for s in a.left}):
+            inner = corr_pushforward(a, fam)
+            for span, family in ((a, fam), (b, inner),
+                                 (compose_spans(a, b), fam)):
+                for t, pf in corr_pushforward(span, family).items():
+                    fiber = sorted((u for u in span.apex
+                                    if span.to_right[u] == t), key=repr)
+                    expected = tuple(
+                        tuple(zip(fiber, combo)) for combo in
+                        itertools.product(*(family[span.to_left[u]]
+                                            for u in fiber)))
+                    elems = tuple(pf)
+                    assert elems == expected and len(pf) == len(expected)
+                    assert all(pf[q] == elems[q] for q in range(len(pf)))
+                    if elems:
+                        assert pf[-1] == elems[-1]
+                    with pytest.raises(IndexError):
+                        pf[len(pf)]
+                    empty_values += not elems
+    assert empty_values > 0
 
 
 def test_pushforward_functoriality_with_witness():
@@ -135,8 +167,8 @@ def test_index_check_agrees_with_tuple_witness():
             for t in b.right:
                 assert ([two_step[t][q] for q in positions[t]]
                         == [witness[t][elem] for elem in direct[t]])
-                empty_fibers += direct[t] == ((),)
-                empty_values += direct[t] == ()
+                empty_fibers += tuple(direct[t]) == ((),)
+                empty_values += tuple(direct[t]) == ()
     assert empty_fibers > 0 and empty_values > 0
 
 
@@ -182,43 +214,57 @@ def test_suite_corr_reports_a_faulty_composite(monkeypatch):
 
 
 def _faulty_pushforward(a, b, fault):
-    """corr_pushforward with one fault.  "duplicate" and "drop" act on the
-    composite span (neither a nor b): its last element is listed twice, or
-    left out.  "move" acts on the first leg a: the last element of the
-    first target with two or more elements is filed under the last target
-    instead, so one value set loses an element and another gains one."""
+    """corr_pushforward with one fault that a `Product` can carry.  "short"
+    and "repeat" act on the composite span (neither a nor b): its first
+    value set with two or more values loses its last value, or repeats it.
+    "move" acts on the first leg a: the first value set with two or more
+    values loses its last value, and the last value set of another slot
+    gains it."""
+    def with_factor(pf, k, values):
+        factors = list(pf.factors)
+        factors[k] = values
+        return Product(pf.slots, factors)
+
+    def slots_of(out):
+        return [(t, k) for t, pf in out.items() for k in range(len(pf.slots))]
+
     def pushforward(span, family):
-        out = dict(corr_pushforward(span, family))
+        out = corr_pushforward(span, family)
         if fault == "move" and span is a:
-            t = next(t for t in out if len(out[t]) >= 2)
-            other = [u for u in out if u != t][-1]
-            out[other] += out[t][-1:]
-            out[t] = out[t][:-1]
-        elif fault in ("duplicate", "drop") and span is not a and span is not b:
-            for t, elems in out.items():
-                out[t] = elems + elems[-1:] if fault == "duplicate" else elems[:-1]
+            t, k = next((t, k) for t, k in slots_of(out)
+                        if len(out[t].factors[k]) >= 2)
+            values = out[t].factors[k]
+            out[t] = with_factor(out[t], k, values[:-1])
+            s, j = [slot for slot in slots_of(out) if slot != (t, k)][-1]
+            out[s] = with_factor(out[s], j, out[s].factors[j] + values[-1:])
+        elif fault in ("short", "repeat") and span is not a and span is not b:
+            t, k = next((t, k) for t, k in slots_of(out)
+                        if len(out[t].factors[k]) >= 2)
+            values = out[t].factors[k]
+            out[t] = with_factor(out[t], k, values[:-1] if fault == "short"
+                                 else values + values[-1:])
         return out
     return pushforward
 
 
-@pytest.mark.parametrize("fault,reason", [
-    ("duplicate", "factors multiply to"),
-    ("drop", "factors multiply to"),
-    ("move", "two composite elements share an image"),
-])
-def test_index_check_catches_a_faulty_pushforward(monkeypatch, fault, reason):
-    # the composite's elements are matched by position, so a repeated last
-    # element is seen by the element count alone; a value set one short next
-    # to one that is one long keeps every image in range but maps two
-    # composite elements to one two-step element
+@pytest.mark.parametrize("fault", ["short", "repeat", "move"])
+def test_index_check_catches_a_faulty_pushforward(monkeypatch, fault):
+    # every fault leaves the slot layouts alone and changes one value set
+    # of the composite, or two of the first leg; "move" keeps the number of
+    # values on the first leg
     a = FinSpan((0, 1), (0, 1), (0, 1), {0: 1, 1: 1}, {0: 1, 1: 1})
     b = FinSpan((0, 1), ("v0", "v1", "v2"), (0,),
                 {"v0": 0, "v1": 1, "v2": 1}, {"v0": 0, "v1": 0, "v2": 0})
     fam = {0: (0,), 1: (0, 1)}
     corr_pushforward_index_check(a, b, fam)
     monkeypatch.setattr(enrich, "corr_pushforward", _faulty_pushforward(a, b, fault))
-    with pytest.raises(AssertionError, match=reason):
+    with pytest.raises(AssertionError, match="functoriality.*value sets differ"):
         corr_pushforward_index_check(a, b, fam)
+    if fault != "repeat":
+        # the witness compares sets of elements, so a repeated value,
+        # which only repeats elements, escapes it
+        with pytest.raises(AssertionError, match="functoriality"):
+            corr_pushforward_witness(a, b, fam)
 
 
 def test_pointed_restriction_agrees_with_span_route():
@@ -231,7 +277,7 @@ def test_pointed_restriction_agrees_with_span_route():
         fam = {s: tuple(range(rng.randrange(1, 4))) for s in left}
         direct = pointed_pushforward(pmap, left, right, fam)
         via = corr_pushforward(span_of_pointed_map(pmap, left, right), fam)
-        assert direct == via
+        assert direct == {t: tuple(pf) for t, pf in via.items()}
 
 
 # -- nerve ------------------------------------------------------------------------------
