@@ -366,6 +366,9 @@ def main(argv=None) -> int:
         args.cache = os.environ.get("FH_CACHE")
     cache = None if args.verb == "check" else args.cache
     try:
+        for attr in ("max_degree", "i_max"):
+            if getattr(args, attr, 0) < 0:
+                raise SchemaError(f"--{attr.replace('_', '-')} must be >= 0")
         texts = {attr: _read_input(getattr(args, attr))
                  for attr in _INPUTS if hasattr(args, attr)}
         key = _cache_key(_input_fingerprint(args, texts)) if cache else None

@@ -2,7 +2,12 @@
 
 This is the arithmetic core behind the chain-complex engines.  Everything is
 exact: integers are arbitrary-precision, rationals are `fractions.Fraction`,
-and F_p elements are reduced ints.  No floating point anywhere.
+and F_p elements are ints.  No floating point anywhere.
+
+Coefficient arithmetic runs on these plain numbers with `+ - *`; over F_p
+they are left unreduced while a vector is being built.  A `Ring` only
+normalizes: in `parse` and `show`, on entry to rank and Smith form, and in
+`Ring.reduce`, which normalizes a finished vector and drops its zeros.
 
 Matrices are sparse dict-of-rows.  Rank and Smith form share one
 elimination core (`_Core`), which also indexes the rows of each column, so a
@@ -33,28 +38,21 @@ class Ring:
     def normalize(self, x):
         raise NotImplementedError
 
-    def add(self, a, b):
-        return self.normalize(a + b)
-
-    def sub(self, a, b):
-        return self.normalize(a - b)
-
-    def mul(self, a, b):
-        return self.normalize(a * b)
-
-    def neg(self, a):
-        return self.normalize(-a)
-
     def is_zero(self, a):
         return self.normalize(a) == 0
 
+    def reduce(self, vec: dict) -> dict:
+        """A finished vector with its coefficients normalized and its zeros
+        dropped."""
+        return {k: w for k, v in vec.items() if (w := self.normalize(v)) != 0}
+
     def parse(self, s):
         """Parse a serialized scalar; integers as "n", rationals as "p/q"."""
-        s = str(s).strip()
-        if "/" in s:
-            num, den = s.split("/")
-            return self.normalize(Fraction(int(num), int(den)))
-        return self.normalize(int(s))
+        num, slash, den = str(s).strip().partition("/")
+        try:
+            return self.normalize(Fraction(int(num), int(den) if slash else 1))
+        except ZeroDivisionError as exc:
+            raise ValueError(f"bad scalar {s!r}: {exc}") from exc
 
     def show(self, x) -> str:
         x = self.normalize(x)
@@ -182,15 +180,6 @@ class SparseMat:
         return [[self.rows[i].get(j, zero) for j in range(self.ncols)]
                 for i in range(self.nrows)]
 
-    def entry(self, i, j):
-        return self.rows[i].get(j, 0)
-
-    def set_entry(self, i, j, v):
-        if v == 0:
-            self.rows[i].pop(j, None)
-        else:
-            self.rows[i][j] = v
-
     def clone(self) -> "SparseMat":
         return SparseMat(self.nrows, self.ncols, [dict(r) for r in self.rows])
 
@@ -220,12 +209,6 @@ class SparseMat:
                 else:
                     row[j] = w
         return out
-
-    def scale(self, c) -> "SparseMat":
-        if c == 0:
-            return SparseMat(self.nrows, self.ncols)
-        return SparseMat(self.nrows, self.ncols,
-                         [{j: c * v for j, v in r.items()} for r in self.rows])
 
     def mul(self, other: "SparseMat") -> "SparseMat":
         """Matrix product self @ other."""

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import operator
 
 from .exactla import SparseMat, chain_homology
 from .fincat import FinCategory, SimplicialFinSet, UnionFind
@@ -150,7 +152,6 @@ def _groupoid_coinvariants(cat, verts, edges, module, isos):
     """
     from .enrich import Module
     ring = cat.ring
-    one = ring.normalize(1)
 
     resolved = []
     for (x, y, b) in isos:
@@ -176,29 +177,26 @@ def _groupoid_coinvariants(cat, verts, edges, module, isos):
         for ei, e in enumerate(edges):
             t0 = lam[vindex[e.dst]]
             s1 = lam2[vindex[e.src]]
-            coeffs = {decor[ei]: one}
+            coeffs = {decor[ei]: 1}
             if e.src == v:
                 # precompose with the inverse: hom(x, t0) -> hom(y, t0)
                 new = {}
                 for g, c in coeffs.items():
                     for k, c2 in cat.compose_basis(y, x, t0, binv, g).items():
-                        new[k] = ring.add(new.get(k, 0), ring.mul(c, c2))
+                        new[k] = new.get(k, 0) + c * c2
                 coeffs = new
             if e.dst == v:
                 # postcompose: hom(s1, x) -> hom(s1, y)
                 new = {}
                 for g, c in coeffs.items():
                     for k, c2 in cat.compose_basis(s1, x, y, g, b).items():
-                        new[k] = ring.add(new.get(k, 0), ring.mul(c, c2))
+                        new[k] = new.get(k, 0) + c * c2
                 coeffs = new
             parts.append(coeffs)
         out = {}
         for combo in itertools.product(*(p.items() for p in parts)):
             label = (lam2, tuple(g for g, _ in combo))
-            coeff = one
-            for _, c in combo:
-                coeff = ring.mul(coeff, c)
-            out[label] = ring.add(out.get(label, 0), coeff)
+            out[label] = out.get(label, 0) + math.prod(c for _, c in combo)
         return out
 
     cols = []
@@ -209,10 +207,10 @@ def _groupoid_coinvariants(cat, verts, edges, module, isos):
             for (x, y, b, binv) in resolved:
                 if lam[vi] != x:
                     continue
-                col = {index[element]: ring.normalize(-1)}
+                col = {index[element]: -1}
                 for label, c in transport(element, vi, x, y, b, binv).items():
-                    col[index[label]] = ring.add(col.get(index[label], 0), c)
-                col = {i: v for i, v in col.items() if not ring.is_zero(v)}
+                    col[index[label]] = col.get(index[label], 0) + c
+                col = ring.reduce(col)
                 if col:
                     cols.append(col)
     mat = SparseMat.from_columns(module.dim, cols)
@@ -390,11 +388,19 @@ def _cyclic_matrix(bases, index, n) -> SparseMat:
 
 
 class ChainComplexBundle:
-    """The cyclic bar chain complex of a linear category, with the mixed
-    structure: boundaries b, signed cyclic operators, norms, the extra
-    degeneracy, and the resulting degree-raising operator B = (1 - t) s N.
-    Bases and boundaries are built at once; the mixed structure on first
-    use, since Hochschild homology never reads it.
+    """The cyclic bar chain complex of a linear category with its mixed
+    structure: the boundaries b, the signed cyclic operators t = (-1)^n tau
+    (tau the rotation), and Connes' operator B : C_n -> C_(n+1) from its
+    closed formula
+
+        B = sum_(k=0..n) (-1)^(nk) (1 + (-1)^n tau) s tau^k,
+
+    with s putting the unit in front (Loday, *Cyclic Homology*, §2.1).  That
+    is (1 - t) s N with the norm N = sum_k t^k multiplied out, one column
+    per basis element.  Boundary columns are summed with `+ -` and
+    normalized once, by `Ring.reduce`; B's entries are the exact sums,
+    zeros dropped.  Bases and boundaries are built at once; the mixed
+    structure on first use, since Hochschild homology never reads it.
     """
 
     def __init__(self, cat: LinearCategory, n_max: int):
@@ -414,59 +420,36 @@ class ChainComplexBundle:
                 for n in range(self.n_max + 1)]
 
     @functools.cached_property
-    def norms(self):
-        return [self._norm(n) for n in range(self.n_max + 1)]
-
-    @functools.cached_property
-    def extra_degens(self):
-        return [self._extra_degen(n) for n in range(self.n_max)]
-
-    @functools.cached_property
     def connes_b(self):
         return [self._connes_b(n) for n in range(self.n_max)]
 
     def _boundary(self, n) -> SparseMat:
-        ring = self.ring
         total = [dict() for _ in range(self.dims[n])]
         for i in range(n + 1):
-            sign = 1 if i % 2 == 0 else -1
-            for j, col in enumerate(_face_columns(self.category, self.bases,
-                                                  self.index, n, i)):
-                acc = total[j]
+            faces = _face_columns(self.category, self.bases, self.index, n, i)
+            op = operator.sub if i % 2 else operator.add
+            for acc, col in zip(total, faces):
                 for row, v in col.items():
-                    w = ring.add(acc.get(row, 0), ring.mul(sign, v))
-                    if ring.is_zero(w):
-                        acc.pop(row, None)
-                    else:
-                        acc[row] = w
-        return SparseMat.from_columns(self.dims[n - 1], total)
-
-    def _norm(self, n) -> SparseMat:
-        t = self.cyclic[n]
-        acc = SparseMat.identity(self.dims[n])
-        out = SparseMat.identity(self.dims[n])
-        for _ in range(n):
-            acc = t.mul(acc)
-            out = out.add(acc)
-        return out
-
-    def _extra_degen(self, n) -> SparseMat:
-        """s : C_n -> C_{n+1}, inserting the unit in front."""
-        cat = self.category
-        cols = []
-        for (xs, gs) in self.bases[n]:
-            col = {}
-            for k, c in cat.unit_vector(xs[0]).items():
-                tgt = ((xs[0],) + xs, (k,) + gs)
-                col[self.index[n + 1][tgt]] = c
-            cols.append(col)
-        return SparseMat.from_columns(self.dims[n + 1], cols)
+                    acc[row] = op(acc.get(row, 0), v)
+        return SparseMat.from_columns(self.dims[n - 1],
+                                      map(self.ring.reduce, total))
 
     def _connes_b(self, n) -> SparseMat:
-        """B = (1 - t) s N : C_n -> C_{n+1}."""
-        one_minus_t = SparseMat.identity(self.dims[n + 1]).add(
-            self.cyclic[n + 1].scale(-1))
-        return one_minus_t.mul(self.extra_degens[n]).mul(self.norms[n])
+        cat, target = self.category, self.index[n + 1]
+        flip = -1 if n % 2 else 1  # (-1)^n
+        cols = []
+        for xs, gs in self.bases[n]:
+            col, sign = {}, 1  # sign = (-1)^(nk) at tau^k
+            for _ in range(n + 1):
+                for k, c in cat.unit_vector(xs[0]).items():
+                    front = ((xs[0],) + xs, (k,) + gs)
+                    for row, v in ((target[front], sign * c),
+                                   (target[_rotate(*front)], flip * sign * c)):
+                        col[row] = col.get(row, 0) + v
+                xs, gs = _rotate(xs, gs)
+                sign *= flip
+            cols.append(col)
+        return SparseMat.from_columns(self.dims[n + 1], cols)
 
     def _is_zero(self, mat: SparseMat) -> bool:
         return all(self.ring.is_zero(v) for row in mat.rows
@@ -591,6 +574,8 @@ def negative_cyclic_homology(cat: LinearCategory, n_max: int, i_max: int = 3):
     Without one, "exact" is false and "hh_vanishes_above" and
     "certificate" are null.
     """
+    if i_max < 0:
+        raise ValueError(f"i_max must be >= 0, got {i_max}")
     complex_ = ChainComplexBundle(cat, n_max + 2 * i_max + 1)
     dims, mats = _total_complex(complex_, n_max, range(0, -i_max - 1, -1))
     separable = is_separable(cat)

@@ -11,6 +11,30 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+_JSON_NAMES = {str: "a string", int: "an integer", list: "a list",
+               dict: "an object with string keys"}
+
+
+def check_json(value, shape, field):
+    """`value`, after checking its JSON shape: a type or tuple of types
+    (never matched by a JSON boolean), `[s]` for a list of values of shape
+    s, or `{str: s}` for an object with string keys and values of shape s.
+    Raises ValueError naming the field that does not fit."""
+    kind = type(shape) if isinstance(shape, (list, dict)) else shape
+    kinds = kind if type(kind) is tuple else (kind,)
+    if (not isinstance(value, kinds) or type(value) is bool
+            or kind is dict and not all(isinstance(k, str) for k in value)):
+        raise ValueError(f"{field} must be "
+                         f"{' or '.join(_JSON_NAMES[k] for k in kinds)}, "
+                         f"found {type(value).__name__}")
+    if kind in (list, dict):
+        inner = next(iter(shape.values())) if kind is dict else shape[0]
+        nested = isinstance(inner, (list, dict))
+        for key, item in value.items() if kind is dict else enumerate(value):
+            if nested or not isinstance(item, inner) or type(item) is bool:
+                check_json(item, inner, f"{field}[{key!r}]")
+    return value
+
 
 class UnionFind:
     """Disjoint sets over arbitrary hashable keys (path compression + size)."""
@@ -111,9 +135,6 @@ class FinCategory:
                 return True
         return False
 
-    def endomorphisms(self, x):
-        return self.hom(x, x)
-
     def power(self, m, r):
         """r-fold composite of an endomorphism; None if the table runs out."""
         if self._src[m] != self._tgt[m]:
@@ -140,18 +161,21 @@ class FinCategory:
     @classmethod
     def from_json_dict(cls, data):
         homs = {}
-        for key, ms in data.get("homs", {}).items():
+        for key, ms in check_json(data.get("homs", {}), {str: [str]},
+                                  "homs").items():
             s, _, t = key.partition("->")
             if not _:
                 raise ValueError(f"bad hom key {key!r}")
             homs[(s, t)] = tuple(ms)
         compose = {}
-        for key, h in data.get("compose", {}).items():
+        for key, h in check_json(data.get("compose", {}), {str: str},
+                                 "compose").items():
             g, _, f = key.partition("*")
             if not _:
                 raise ValueError(f"bad compose key {key!r}")
             compose[(g, f)] = h
-        return cls(data["objects"], homs, compose, data.get("units", {}))
+        return cls(check_json(data["objects"], [str], "objects"), homs, compose,
+                   check_json(data.get("units", {}), {str: str}, "units"))
 
     def __repr__(self):
         return (f"FinCategory({len(self.objects)} objects, "
@@ -547,9 +571,6 @@ class SimplicialFinSet:
 
     def face(self, n, i):
         return self.faces[(n, i)]
-
-    def degen(self, n, i):
-        return self.degens[(n, i)]
 
     def source_map(self):
         """s = d_1 : X_1 -> X_0."""

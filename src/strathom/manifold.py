@@ -83,9 +83,11 @@ class GraphManifold:
 
     @classmethod
     def from_json_dict(cls, data):
-        return cls(data["vertices"],
-                   [(e["id"], e["src"], e["dst"]) for e in data.get("edges", [])],
-                   data.get("circles", 0))
+        from .fincat import check_json
+        edges = check_json(data.get("edges", []), [{str: str}], "edges")
+        return cls(check_json(data["vertices"], [str], "vertices"),
+                   [(e["id"], e["src"], e["dst"]) for e in edges],
+                   check_json(data.get("circles", 0), int, "circles"))
 
 
 def d0() -> GraphManifold:

@@ -1,6 +1,11 @@
+import contextlib
+import copy
+import io
 import json
 
 import pytest
+from hypothesis import (HealthCheck, assume, example, given, settings,
+                        strategies as st)
 
 from strathom.cli import main, render_table
 
@@ -395,3 +400,133 @@ def test_check_is_never_cached(tmp_path, capsys, monkeypatch):
     assert outs[0] == outs[1] and outs[0][0] == 0
     assert calls == ["segal", "segal"]
     assert not cache.exists() or not list(cache.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ("hh", "--max-degree", "-3"),
+    ("hc", "--negative", "--max-degree", "1", "--i-max", "-2"),
+], ids=["max-degree", "i-max"])
+def test_negative_degree_option_is_a_schema_error(inputs, capsys, argv):
+    code, out = run(capsys, *argv, "--algebra", inputs["q"])
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "schema"
+    assert error["message"] == f"--{argv[-2][2:]} must be >= 0"
+
+
+# -- wrongly typed JSON fields ----------------------------------------------------
+
+PATH2 = {"vertices": ["a", "b"], "edges": [{"id": "e", "src": "a", "dst": "b"}],
+         "circles": 0}
+
+# each verb's argv, with one valid document per input option
+VERBS = {
+    "hh": (("--max-degree", "1"), {"--algebra": Q_ALGEBRA}),
+    "hc": (("--max-degree", "1"), {"--algebra": Q_ALGEBRA}),
+    "thh-set": ((), {"--category": IDEM}),
+    "tc0": (("--degrees", "2"), {"--category": IDEM}),
+    "trace": ((), {"--category": IDEM}),
+    "facthom": ((), {"--manifold": PATH2, "--category": IDEM}),
+}
+
+
+def _json_paths(node, prefix=()):
+    """The path of every field and every value below the top level."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _json_paths(child, prefix + (key,))
+
+
+TARGETS = [(verb, option, path) for verb, (_, docs) in VERBS.items()
+           for option, doc in docs.items() for path in _json_paths(doc)]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4)
+
+
+def _json_type(value):
+    return {type(None): "null", bool: "bool", int: "number", float: "number",
+            str: "string", list: "array", dict: "object"}[type(value)]
+
+
+def _run_with_field(tmp_path, verb, option, path, value):
+    """Run `verb` with the value at `path` of its `option` input replaced;
+    returns (exit code, stdout, stderr)."""
+    extra, docs = VERBS[verb]
+    argv = [verb, *extra]
+    for opt, doc in docs.items():
+        if opt == option:
+            doc = copy.deepcopy(doc)
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+        file = tmp_path / f"{opt[2:]}.json"
+        file.write_text(json.dumps(doc))
+        argv += [opt, str(file)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _field(verb, option, path):
+    doc = VERBS[verb][1][option]
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@pytest.mark.parametrize("verb, option, path, value", [
+    ("thh-set", "--category", ("compose",), []),
+    ("trace", "--category", ("compose", "id*id"), ["id"]),
+    ("tc0", "--category", ("units", "*"), ["id"]),
+    ("hh", "--algebra", ("structure_constants",), []),
+    ("hc", "--algebra", ("ring",), 3),
+    ("facthom", "--manifold", ("circles",), True),
+])
+def test_wrongly_typed_field_is_a_schema_error(tmp_path, monkeypatch, verb,
+                                               option, path, value):
+    monkeypatch.delenv("FH_CACHE", raising=False)
+    code, out, _ = _run_with_field(tmp_path, verb, option, path, value)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "schema"
+    assert path[0] in error["message"]
+
+
+def test_vanishing_denominator_is_a_schema_error(tmp_path, monkeypatch):
+    monkeypatch.delenv("FH_CACHE", raising=False)
+    code, out, _ = _run_with_field(
+        tmp_path, "hh", "--algebra",
+        ("structure_constants", "*,*,*", "1,1", "1"), "1/0")
+    assert code == 2
+    assert json.loads(out)["error"]["message"].endswith(
+        "bad scalar '1/0': Fraction(1, 0)")
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(target=st.sampled_from(TARGETS), value=JSON_VALUES)
+@example(target=("thh-set", "--category", ("compose",)), value=[])
+@example(target=("trace", "--category", ("compose", "id*id")), value=["id"])
+@example(target=("tc0", "--category", ("units", "*")), value=["id"])
+@example(target=("hh", "--algebra", ("structure_constants",)), value=[])
+@example(target=("hc", "--algebra", ("ring",)), value=3)
+def test_a_field_of_another_type_never_tracebacks(tmp_path, monkeypatch,
+                                                  target, value):
+    """Any verb, any one field or value replaced by JSON of another type:
+    an exit code of the contract and one JSON object on stdout.  The input
+    files are rewritten for each example, so sharing `tmp_path` is safe."""
+    assume(_json_type(value) != _json_type(_field(*target)))
+    monkeypatch.delenv("FH_CACHE", raising=False)
+    code, out, err = _run_with_field(tmp_path, *target, value)
+    assert code in (0, 1, 2)
+    assert isinstance(json.loads(out), dict)
+    assert "Traceback" not in err

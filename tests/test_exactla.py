@@ -28,6 +28,14 @@ def test_fp_inverse_and_fraction_parse():
     assert f5.show(7) == "2"
 
 
+def test_parse_rejects_a_vanishing_denominator():
+    with pytest.raises(ValueError, match="bad scalar"):
+        QQ.parse("1/0")
+    with pytest.raises(ValueError, match="bad scalar"):
+        RingFp(5).parse("1/5")
+    assert ZZ.parse(" 6/3 ") == 2 and type(ZZ.parse("6/3")) is int
+
+
 def test_show_round_trips():
     assert QQ.show(QQ.parse("3/4")) == "3/4"
     assert ZZ.show(ZZ.parse("-7")) == "-7"

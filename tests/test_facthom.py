@@ -275,6 +275,13 @@ def test_negative_cyclic_claims_exact_only_with_a_certificate(name, alg,
         assert all(g["rank"] == 0 and not g["torsion"] for g in hh[1:])
 
 
+def test_negative_cyclic_rejects_a_negative_column_bound():
+    # a negative i_max leaves no column, and so no group, to compute
+    alg = group_algebra(QQ, *cyclic_group_table(2))
+    with pytest.raises(ValueError, match="i_max"):
+        negative_cyclic_homology(alg, 2, i_max=-1)
+
+
 def test_negative_cyclic_of_z_z3_is_not_exact():
     # periodic HH (Burghelea): HH_5 = (Z/3)^3 lies beyond the degrees that
     # `--max-degree 2 --i-max 1` computes, so no vanishing range is claimed
@@ -350,6 +357,53 @@ def test_randomized_algebras_satisfy_chain_identities():
         assert ChainComplexBundle(alg, 3).validate() == []
         count += 1
     assert count >= 20
+
+
+# -- Connes' B: the closed formula against the product form ------------------------------
+
+def _connes_b_oracle(cx, n):
+    """Oracle: B = (1 - t) s N on C_n as `SparseMat` products, with t the
+    signed cyclic operator, N = sum_k t^k its norm and s the extra
+    degeneracy (the unit put in front).  This is the product form that
+    `ChainComplexBundle` multiplies out."""
+    t = cx.cyclic[n]
+    power = norm = SparseMat.identity(cx.dims[n])
+    for _ in range(n):
+        power = t.mul(power)
+        norm = norm.add(power)
+    extra = SparseMat.from_columns(cx.dims[n + 1], [
+        {cx.index[n + 1][((xs[0],) + xs, (k,) + gs)]: c
+         for k, c in cx.category.unit_vector(xs[0]).items()}
+        for xs, gs in cx.bases[n]])
+    minus_t = SparseMat(cx.dims[n + 1], cx.dims[n + 1],
+                        [{j: -v for j, v in row.items()}
+                         for row in cx.cyclic[n + 1].rows])
+    one_minus_t = SparseMat.identity(cx.dims[n + 1]).add(minus_t)
+    return one_minus_t.mul(extra).mul(norm)
+
+
+def _json_copy(alg):
+    from strathom.enrich import LinearCategory
+    return LinearCategory.from_json_dict(alg.to_json_dict())
+
+
+B_CASES = MIXED + [
+    ("Z[Z/3]", group_algebra(ZZ, *cyclic_group_table(3)), 3),
+    ("F7[Z/3]", group_algebra(RingFp(7), *cyclic_group_table(3)), 3),
+    ("Q[Z/3] from JSON", _json_copy(group_algebra(QQ, *cyclic_group_table(3))), 3),
+    ("Q x Q[x]/x^2", product_algebra(ground_ring_algebra(QQ),
+                                     truncated_polynomial_algebra(QQ, 2)), 3),
+]
+
+
+@pytest.mark.parametrize("alg, depth", [m[1:] for m in B_CASES],
+                         ids=[m[0] for m in B_CASES])
+def test_connes_b_closed_form_matches_product_form(alg, depth):
+    # validate() alone cannot catch a wrong B: B = 0 satisfies bB + Bb = 0
+    # and BB = 0
+    cx = ChainComplexBundle(alg, depth)
+    for n in range(depth):
+        assert cx.connes_b[n] == _connes_b_oracle(cx, n), n
 
 
 # -- groupoid object sets ---------------------------------------------------------------------
