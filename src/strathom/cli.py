@@ -59,6 +59,9 @@ def _load_json(path, text):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise SchemaError(
+            f"{path}: not valid JSON (nested too deeply)") from exc
     if not isinstance(data, dict):
         raise SchemaError(f"{path}: expected a JSON object, "
                           f"found {type(data).__name__}")
@@ -172,12 +175,13 @@ def _cache_entry(key, verb, result) -> str:
 
 def _cached_result(text, key, verb):
     """The result held by a cache entry, or None (a miss) for an absent
-    entry, one that does not parse, or one made for another key or verb."""
+    entry, one that does not parse (too deeply nested included), or one made
+    for another key or verb."""
     if text is None:
         return None
     try:
         entry = json.loads(text)
-    except ValueError:
+    except (ValueError, RecursionError):
         return None
     if (not isinstance(entry, dict) or entry.get("key") != key
             or entry.get("verb") != verb):
@@ -192,7 +196,7 @@ def render_json(result) -> str:
     return json.dumps(result, sort_keys=True, indent=2) + "\n"
 
 
-def render_table(result, indent="") -> str:
+def render_table(result) -> str:
     """A lossless flat rendering: one `path = value` line per JSON leaf."""
     lines = []
 

@@ -203,9 +203,6 @@ def free_loop_census(elements, mult, unit):
 
 # -- free monoids and configuration classes ----------------------------------------
 
-WORD_SEP = ""
-
-
 def free_monoid_category(letters, max_len: int) -> FinCategory:
     """The one-object category of words up to a length bound over the given
     alphabet, composed by concatenation (out-of-bound composites are absent

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from collections import Counter
-from collections.abc import Sequence
 
 from .exactla import Ring, SparseMat, cokernel_invariants, ring_from_name
 from .fincat import (FinCategory, SimplicialFinSet, check_json,
@@ -22,9 +20,6 @@ from .manifold import FinSpan
 
 
 # -- the cartesian Set backend -------------------------------------------------
-
-SET_UNIT = ((),)  # one-element set: the empty tuple
-
 
 def tensor_all_sets(values):
     """Product of finite sets in canonical order; the empty product is the
@@ -39,43 +34,29 @@ def sets_bijective(a, b):
     return dict(zip(sorted(a, key=repr), sorted(b, key=repr)))
 
 
-class Product(Sequence):
+class Product:
     """The product of finite value sets, one per slot, as a lazy mixed-radix
-    sequence.
+    layout.
 
-    Write q in mixed radix with one digit per slot, radix len(factors[k]) at
-    slot k and the last slot least significant.  Element q is the tuple of
-    pairs (slots[k], factors[k][digit_k]), so the elements run in the order
-    of `itertools.product(*factors)`.  Nothing is built until it is read:
-    the length is the product of the factor sizes, and `p[q]` decodes one
-    element.  An empty slot list gives the one-point product `((),)`.
+    Its elements are the tuples of pairs (slots[k], factors[k][digit_k]),
+    one digit per slot with radix len(factors[k]), in the order of
+    `itertools.product(*factors)`: the last slot runs fastest.  Nothing is
+    built until it is iterated, and the length is the product of the factor
+    sizes.  An empty slot list gives the one-point product `((),)`.
     """
 
-    __slots__ = ("slots", "factors", "_len")
+    __slots__ = ("slots", "factors")
 
     def __init__(self, slots, factors):
         self.slots = tuple(slots)
         self.factors = tuple(factors)
-        self._len = math.prod(map(len, self.factors))
 
     def __len__(self):
-        return self._len
+        return math.prod(map(len, self.factors))
 
     def __iter__(self):
         return map(tuple, map(zip, itertools.repeat(self.slots),
                               itertools.product(*self.factors)))
-
-    def __getitem__(self, q):
-        q = operator.index(q)
-        if q < 0:
-            q += self._len
-        if not 0 <= q < self._len:
-            raise IndexError("Product index out of range")
-        values = []
-        for factor in reversed(self.factors):
-            q, digit = divmod(q, len(factor))
-            values.append(factor[digit])
-        return tuple(zip(self.slots, reversed(values)))
 
     def __repr__(self):
         return f"Product({self.slots!r}, {self.factors!r})"
@@ -147,61 +128,45 @@ def _not_functorial(t, reason):
 
 
 def corr_pushforward_index_check(a: FinSpan, b: FinSpan, family, inner=None):
-    """Pushforward functoriality, checked for every element in index space.
+    """Pushforward functoriality, checked for every element from the slot
+    layouts alone.
 
-    Pushes the family through the composite span and through a then b, and
-    matches the two `Product`s by position instead of building tuples.  A
-    composite element at position p has one digit per slot (u, v) of its
-    fiber; the two-step position has one digit per v, itself a mixed-radix
-    number over the u above that v.  So p maps digit by digit to a two-step
-    position q, read off the two layouts alone.
+    Pushes the family through the composite span and through a then b,
+    and compares the two `Product`s without building an element.  A
+    composite element has one digit per slot (u, v) of its fiber; the
+    matching two-step element has one digit per v, itself a mixed-radix
+    number over the u above that v.  So composite elements map digit by
+    digit to two-step ones, read off the two layouts alone.
 
-    The map keeps digits, and a `Product`'s value at slot k of element p is
-    `factors[k][digit_k(p)]`.  So the values of every matched pair agree
+    The map keeps digits, and a `Product`'s value at slot k of an element
+    is `factors[k][digit_k]`.  So the values of every matched pair agree
     exactly when the two sides hold equal value sets at each slot: one
     comparison per slot covers every element.  Once the slot sets and the
-    value sets agree, the map is a bijection onto the two-step positions:
+    value sets agree, the map is a bijection onto the two-step elements:
     it relabels mixed-radix digits between slots of equal radices.  So
-    neither the element counts nor the images need a further test.
+    neither the element counts nor the map itself need a further test.
 
-    Returns, per element t of b.right, the list whose p-th entry is the
-    two-step position matched with composite position p.  Raises
-    AssertionError unless the slot sets agree and the value sets agree at
-    every slot.  `inner` may carry a precomputed pushforward of the family
-    through `a`.
+    Raises AssertionError unless the slot sets agree and the value sets
+    agree at every slot.  `inner` may carry a precomputed pushforward of
+    the family through `a`.
     """
     from .manifold import compose_spans
     comp = compose_spans(a, b)
     step1 = corr_pushforward(a, family) if inner is None else inner
     step2 = corr_pushforward(b, step1)
     direct = corr_pushforward(comp, family)
-    positions = {}
     for t in b.right:
-        composite, two_step = direct[t], step2[t]
-        # each two-step slot (u, v) -> (its value set, the weight of its
-        # digit in the two-step position)
-        place = {}
-        block = 1
-        for v, group in zip(reversed(two_step.slots), reversed(two_step.factors)):
-            w = block
-            for u, values in zip(reversed(group.slots), reversed(group.factors)):
-                place[(u, v)] = (values, w)
-                w *= len(values)
-            block *= len(group)
-        if len(composite.slots) != len(place) or place.keys() != set(composite.slots):
+        composite = direct[t]
+        # each two-step slot (u, v) -> its value set
+        two_step = {(u, v): values
+                    for v, group in zip(step2[t].slots, step2[t].factors)
+                    for u, values in zip(group.slots, group.factors)}
+        if (len(composite.slots) != len(two_step)
+                or two_step.keys() != set(composite.slots)):
             raise _not_functorial(t, "composite and two-step slots differ")
-        weights = []
         for key, values in zip(composite.slots, composite.factors):
-            their_values, w = place[key]
-            if values != their_values:
+            if values != two_step[key]:
                 raise _not_functorial(t, f"value sets differ at slot {key!r}")
-            weights.append(w)
-        # itertools.product runs through the digits of p = 0, 1, ... in
-        # order, so the sum of digit * weight is the image of p
-        positions[t] = list(map(sum, itertools.product(*(
-            [d * w for d in range(len(values))]
-            for w, values in zip(weights, composite.factors)))))
-    return positions
 
 
 def span_of_pointed_map(partial_map, left, right) -> FinSpan:

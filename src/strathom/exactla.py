@@ -89,9 +89,6 @@ class RingQ(Ring):
     def normalize(self, x):
         return Fraction(x)
 
-    def inv(self, a):
-        return 1 / Fraction(a)
-
 
 class RingFp(Ring):
     is_field = True
@@ -109,12 +106,6 @@ class RingFp(Ring):
                 raise ZeroDivisionError(f"denominator of {x} vanishes mod {self.p}")
             return (x.numerator % self.p) * pow(den, -1, self.p) % self.p
         return int(x) % self.p
-
-    def inv(self, a):
-        a = self.normalize(a)
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return pow(a, -1, self.p)
 
 
 ZZ = RingZ()
@@ -176,8 +167,8 @@ class SparseMat:
             m.rows[i][i] = 1
         return m
 
-    def to_dense(self, zero=0):
-        return [[self.rows[i].get(j, zero) for j in range(self.ncols)]
+    def to_dense(self):
+        return [[self.rows[i].get(j, 0) for j in range(self.ncols)]
                 for i in range(self.nrows)]
 
     def clone(self) -> "SparseMat":
@@ -226,30 +217,15 @@ class SparseMat:
                         acc[j] = s
         return out
 
-    def apply(self, vec: dict) -> dict:
-        """Apply to a sparse column vector (dict index->value)."""
-        out = {}
-        for i, r in enumerate(self.rows):
-            s = 0
-            for j, v in r.items():
-                if j in vec:
-                    s += v * vec[j]
-            if s != 0:
-                out[i] = s
-        return out
-
-    def _integer_rows(self, ring: Ring):
+    def _integer_rows(self):
         """Rows scaled to integer entries with content 1 (rank is
-        scaling-invariant)."""
+        scaling-invariant).  Entries are ints or `Fraction`s, and both have
+        a numerator and a denominator."""
         rows = []
         for r in self.rows:
-            if isinstance(ring, RingQ):
-                scale = 1
-                for v in r.values():
-                    scale = math.lcm(scale, Fraction(v).denominator)
-                row = {j: int(Fraction(v) * scale) for j, v in r.items()}
-            else:
-                row = {j: int(v) for j, v in r.items()}
+            scale = math.lcm(*(v.denominator for v in r.values()))
+            row = {j: v.numerator * (scale // v.denominator)
+                   for j, v in r.items()}
             g = math.gcd(*row.values())
             rows.append({j: v // g for j, v in row.items()} if g > 1 else row)
         return rows
@@ -261,7 +237,7 @@ class SparseMat:
             core = _Core([{j: w for j, v in r.items() if (w := v % p)}
                           for r in self.rows], p)
             return core.clear_units()
-        core = _Core(self._integer_rows(ring))
+        core = _Core(self._integer_rows())
         return core.clear_units() + len(core.smith())
 
 

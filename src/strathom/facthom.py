@@ -104,15 +104,6 @@ def enr_facthom_disk(r: GraphManifold, cat, groupoid_isos=()):
     raise TypeError(f"unsupported enrichment {cat!r}")
 
 
-def _iso_inverse(cat: FinCategory, alpha):
-    x, y = cat.src(alpha), cat.tgt(alpha)
-    for w in cat.hom(y, x):
-        if (cat.compose_table.get((w, alpha)) == cat.unit(x)
-                and cat.compose_table.get((alpha, w)) == cat.unit(y)):
-            return w
-    raise ValueError(f"designated groupoid morphism {alpha!r} is not invertible")
-
-
 def _transport_element(cat, verts, edges, element, vi, alpha, alpha_inv):
     lam, decor = element
     v = verts[vi]
@@ -129,7 +120,11 @@ def _transport_element(cat, verts, edges, element, vi, alpha, alpha_inv):
 
 
 def _groupoid_quotient_set(cat, verts, edges, elements, isos):
-    inverses = {alpha: _iso_inverse(cat, alpha) for alpha in isos}
+    inverses = {alpha: cat.inverse(alpha) for alpha in isos}
+    for alpha, alpha_inv in inverses.items():
+        if alpha_inv is None:
+            raise ValueError(
+                f"designated groupoid morphism {alpha!r} is not invertible")
     uf = UnionFind(elements)
     for element in elements:
         lam, _ = element

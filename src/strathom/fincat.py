@@ -127,13 +127,14 @@ class FinCategory:
     def is_identity(self, m):
         return self.units.get(self._src[m]) == m and self._src[m] == self._tgt[m]
 
-    def is_iso(self, m):
+    def inverse(self, m):
+        """The inverse of m, or None when m is not an isomorphism."""
         x, y = self._src[m], self._tgt[m]
         for w in self.hom(y, x):
             if (self.compose_table.get((w, m)) == self.units.get(x)
                     and self.compose_table.get((m, w)) == self.units.get(y)):
-                return True
-        return False
+                return w
+        return None
 
     def power(self, m, r):
         """r-fold composite of an endomorphism; None if the table runs out."""
@@ -495,7 +496,7 @@ class FactorizationSystem:
     def validate(self):
         report = []
         cat = self.category
-        isos = {m for m in cat.morphisms() if cat.is_iso(m)}
+        isos = {m for m in cat.morphisms() if cat.inverse(m) is not None}
         if not isos <= self.left:
             report.append("left class is missing isomorphisms")
         if not isos <= self.right:
@@ -544,7 +545,7 @@ def factorization_unique_up_to_iso(fs: FactorizationSystem, f) -> bool:
     l0, r0 = found[0]
     for l1, r1 in found[1:]:
         mids = [w for w in cat.hom(cat.tgt(l0), cat.tgt(l1))
-                if cat.is_iso(w)
+                if cat.inverse(w) is not None
                 and cat.compose(w, l0) == l1 and cat.compose(r1, w) == r0]
         if len(mids) != 1:
             return False

@@ -2,6 +2,8 @@ import contextlib
 import copy
 import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import (HealthCheck, assume, example, given, settings,
@@ -269,6 +271,21 @@ def test_unparseable_cache_entry_is_a_miss_and_is_overwritten(inputs, tmp_path,
     assert entry.read_text() == stored
 
 
+def test_deeply_nested_cache_entry_is_a_miss_and_is_overwritten(
+        inputs, tmp_path, capsys):
+    cache = tmp_path / "cache"
+    argv = ("thh-set", "--category", inputs["idem"])
+    _, fresh = run(capsys, *argv)
+    run(capsys, *argv, "--cache", str(cache))
+    (entry,) = cache.glob("*.json")
+    stored = entry.read_text()
+    entry.write_text("[" * 100_000)
+    code, out = run(capsys, *argv, "--cache", str(cache))
+    assert code == 0
+    assert out == fresh
+    assert entry.read_text() == stored
+
+
 def _stored_entry(cache):
     (entry,) = cache.glob("*.json")
     return entry, json.loads(entry.read_text())
@@ -364,6 +381,19 @@ def test_bad_input_file_is_a_schema_error(case, tmp_path, capsys):
     assert error["message"].startswith(str(path))
 
 
+DEEP = "[" * 100_000
+
+
+def test_deeply_nested_input_is_a_schema_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP)
+    code, out = run(capsys, "thh-set", "--category", str(path))
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "schema"
+    assert error["message"] == f"{path}: not valid JSON (nested too deeply)"
+
+
 def test_each_input_file_is_opened_once(inputs, capsys, monkeypatch):
     import builtins
     opened = []
@@ -455,25 +485,36 @@ def _json_type(value):
             str: "string", list: "array", dict: "object"}[type(value)]
 
 
-def _run_with_field(tmp_path, verb, option, path, value):
-    """Run `verb` with the value at `path` of its `option` input replaced;
-    returns (exit code, stdout, stderr)."""
+def _argv_with_inputs(directory, verb, texts=None):
+    """`verb`'s argv with its valid documents written under `directory`;
+    `texts` maps an option to text that replaces its document."""
     extra, docs = VERBS[verb]
     argv = [verb, *extra]
+    texts = texts or {}
     for opt, doc in docs.items():
-        if opt == option:
-            doc = copy.deepcopy(doc)
-            parent = doc
-            for key in path[:-1]:
-                parent = parent[key]
-            parent[path[-1]] = value
-        file = tmp_path / f"{opt[2:]}.json"
-        file.write_text(json.dumps(doc))
+        file = directory / f"{opt[2:]}.json"
+        file.write_text(texts[opt] if opt in texts else json.dumps(doc))
         argv += [opt, str(file)]
+    return argv
+
+
+def _main(argv):
+    """(exit code, stdout, stderr) of one CLI call."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def _run_with_field(tmp_path, verb, option, path, value):
+    """Run `verb` with the value at `path` of its `option` input replaced;
+    returns (exit code, stdout, stderr)."""
+    doc = copy.deepcopy(VERBS[verb][1][option])
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return _main(_argv_with_inputs(tmp_path, verb, {option: json.dumps(doc)}))
 
 
 def _field(verb, option, path):
@@ -530,3 +571,68 @@ def test_a_field_of_another_type_never_tracebacks(tmp_path, monkeypatch,
     assert code in (0, 1, 2)
     assert isinstance(json.loads(out), dict)
     assert "Traceback" not in err
+
+
+# -- malformed JSON text and bad cache paths -------------------------------------
+
+INPUT_OPTIONS = [(verb, option) for verb, (_, docs) in VERBS.items()
+                 for option in docs]
+
+JSON_SCRAPS = st.text(alphabet='[]{}",:-+.0123456789eE ntrufals\\/\n',
+                      max_size=8)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(target=st.sampled_from(INPUT_OPTIONS), start=st.integers(0, 250),
+       length=st.integers(0, 40), scrap=st.none() | JSON_SCRAPS)
+@example(target=("thh-set", "--category"), start=0, length=10 ** 6,
+         scrap=DEEP)
+@example(target=("hh", "--algebra"), start=1, length=0, scrap=DEEP)
+def test_malformed_json_text_never_tracebacks(tmp_path, monkeypatch, target,
+                                             start, length, scrap):
+    """Any verb, one input's valid text cut at `start` (when `scrap` is
+    None) or with `length` characters at `start` replaced by `scrap`: an
+    exit code of the contract and one JSON object on stdout.  The input
+    files are rewritten for each example, so sharing `tmp_path` is safe."""
+    verb, option = target
+    text = json.dumps(VERBS[verb][1][option])
+    start = min(start, len(text))
+    text = (text[:start] if scrap is None
+            else text[:start] + scrap + text[start + length:])
+    monkeypatch.delenv("FH_CACHE", raising=False)
+    code, out, err = _main(_argv_with_inputs(tmp_path, verb, {option: text}))
+    assert code in (0, 1, 2)
+    assert isinstance(json.loads(out), dict)
+    assert "Traceback" not in err
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(verb=st.sampled_from(sorted(VERBS)),
+       fault=st.sampled_from(["file for directory", "directory for entry",
+                              "truncated entry"]),
+       cut=st.integers(0, 400))
+def test_a_bad_cache_path_is_passed_over(tmp_path, monkeypatch, verb, fault,
+                                         cut):
+    """A regular file where the cache directory should be, a directory
+    where the entry should be, or an entry cut at `cut`: exit 0 and the
+    stdout of an uncached run.  A read-only cache directory is not among
+    the faults: a process running as root writes to it all the same."""
+    monkeypatch.delenv("FH_CACHE", raising=False)
+    home = Path(tempfile.mkdtemp(dir=tmp_path))
+    argv = _argv_with_inputs(home, verb)
+    fresh = _main(argv)
+    assert fresh[0] == 0
+    cache = home / "cache"
+    if fault == "file for directory":
+        cache.write_text("not a directory")
+    else:
+        _main(argv + ["--cache", str(cache)])
+        (entry,) = cache.glob("*.json")
+        if fault == "directory for entry":
+            entry.unlink()
+            entry.mkdir()
+        else:
+            entry.write_text(entry.read_text()[:cut])
+    assert _main(argv + ["--cache", str(cache)]) == fresh

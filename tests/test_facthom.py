@@ -428,7 +428,7 @@ def test_groupoid_quotient_identifies_isomorphic_labelings():
 
 
 def test_groupoid_quotient_rejects_non_iso():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'phi' is not invertible"):
         enr_facthom_disk(d0(), walking_idempotent(), groupoid_isos=("phi",))
 
 

@@ -54,6 +54,16 @@ def test_deleted_entries_are_reported_exactly_and_in_a_fixed_order(name):
         for g in cat.morphisms() if (g, f) in deleted]
 
 
+def test_inverse_is_the_two_sided_inverse_or_none():
+    s3 = cyclo.group_category(*cyclo.symmetric_group_table(3))
+    for m in s3.morphisms():
+        w = s3.inverse(m)
+        assert s3.compose(w, m) == s3.compose(m, w) == s3.unit("*")
+    idem = walking_idempotent()
+    assert idem.inverse("id") == "id"
+    assert idem.inverse("phi") is None
+
+
 def test_dangling_identifier_reported():
     homs = {("*", "*"): ("id",)}
     cat = FinCategory(("*",), homs, {("id", "id"): "ghost"}, {"*": "id"})
@@ -353,7 +363,8 @@ def test_factorization_system_validates_and_factors():
 def test_iso_factors_as_iso_then_identity():
     cat = walking_idempotent()
     everything = frozenset(cat.morphisms())
-    isos = frozenset(m for m in cat.morphisms() if cat.is_iso(m))
+    isos = frozenset(m for m in cat.morphisms()
+                     if cat.inverse(m) is not None)
     fs = FactorizationSystem(cat, everything, isos)
     assert fs.validate() == []
     l, r = factorize_morphism(fs, "id")
@@ -364,7 +375,8 @@ def test_iso_factors_as_iso_then_identity():
 
 def test_factorizations_unique_up_to_iso_on_poset():
     cat = _arrow_category()
-    isos = frozenset(m for m in cat.morphisms() if cat.is_iso(m))
+    isos = frozenset(m for m in cat.morphisms()
+                     if cat.inverse(m) is not None)
     everything = frozenset(cat.morphisms())
     fs = FactorizationSystem(cat, isos, everything)
     assert fs.validate() == []
@@ -469,7 +481,8 @@ def test_free_cocart_over_interval_objects():
     e = discrete_category(("x",))
     p = Functor(e, b, {"x": "0"}, {"id_x": "0<=0"})
     fs = FactorizationSystem(b,
-                             frozenset(m for m in b.morphisms() if b.is_iso(m)),
+                             frozenset(m for m in b.morphisms()
+                                       if b.inverse(m) is not None),
                              frozenset(b.morphisms()))
     cat, proj, lift = free_cocart_second_factor(p, fs)
     assert sorted(cat.objects) == ["(x,0<=0)", "(x,0<=1)"]
@@ -482,7 +495,8 @@ def test_free_cocart_lift_square_is_the_factorization_square():
     e = discrete_category(("x",))
     p = Functor(e, b, {"x": "0"}, {"id_x": "0<=0"})
     fs = FactorizationSystem(b,
-                             frozenset(m for m in b.morphisms() if b.is_iso(m)),
+                             frozenset(m for m in b.morphisms()
+                                       if b.inverse(m) is not None),
                              frozenset(b.morphisms()))
     _, _, lift = free_cocart_second_factor(p, fs)
     src, tgt, mor, square = lift(("x", "0<=0"), "0<=1")
