@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 from . import cyclo, enrich, exactla, facthom, fincat, indexing, manifold
 from .exactla import QQ, ZZ, RingFp
@@ -290,29 +291,29 @@ def suite_segal() -> dict:
     return rep.as_dict()
 
 
+def _active_closed_pairs(m: int, n: int):
+    """Every (active a : [m] -> [k], closed c : [k] -> [n]) pair, k <= n."""
+    for k in range(n + 1):
+        actives = [a for a in indexing.all_simplex_maps(m, k) if a.is_active()]
+        for shift in range(n - k + 1):
+            c = indexing.SimplexMap(k, n, tuple(range(shift, shift + k + 1)))
+            for a in actives:
+                yield a, c
+
+
 def suite_delta() -> dict:
     """Exhaustive unique [active; closed] factorization in the simplex
-    category for all maps with m, n <= 5."""
+    category for all maps with m, n <= 5, composing each pair once."""
     rep = Report("delta")
     for m in range(6):
         for n in range(6):
+            counts = Counter(c.compose(a) for a, c in _active_closed_pairs(m, n))
             for f in indexing.all_simplex_maps(m, n):
                 act, cls = indexing.delta_op_factorize(f)
                 rep.check(act.is_active() and cls.is_closed()
                           and cls.compose(act) == f,
                           f"bad factorization of {f}")
-                # uniqueness on the nose: enumerate all (active, closed) pairs
-                count = 0
-                for k in range(n + 1):
-                    for a in indexing.all_simplex_maps(m, k):
-                        if not a.is_active():
-                            continue
-                        for shift in range(n - k + 1):
-                            c = indexing.SimplexMap(
-                                k, n, tuple(range(shift, shift + k + 1)))
-                            if c.compose(a) == f:
-                                count += 1
-                rep.check(count == 1, f"{count} factorizations of {f}")
+                rep.check(counts[f] == 1, f"{counts[f]} factorizations of {f}")
     return rep.as_dict()
 
 
@@ -699,20 +700,20 @@ def mixed_algebras():
 
 
 def suite_mixed() -> dict:
-    """Chain-level identities of the cyclic bar complex."""
+    """Chain-level identities of the cyclic bar and normalized complexes."""
     rep = Report("mixed")
     for name, alg, depth in mixed_algebras():
         rep.check(not enrich.validate_linear_category(alg),
                   f"{name} is not associative/unital")
-        cx = facthom.ChainComplexBundle(alg, depth)
-        failures = cx.validate()
+        failures = facthom.ChainComplexBundle(alg, depth).validate()
         rep.check(not failures, f"{name}: {failures}")
         # lambda^{n+1} = id with the sign convention folded in
         for n in range(depth + 1):
-            power = exactla.SparseMat.identity(cx.dims[n])
+            cyclic = facthom.LinearCyclicLevel(alg, n).cyclic
+            power = exactla.SparseMat.identity(cyclic.ncols)
             for _ in range(n + 1):
-                power = cx.cyclic[n].mul(power)
-            rep.check(power == exactla.SparseMat.identity(cx.dims[n]),
+                power = cyclic.mul(power)
+            rep.check(power == exactla.SparseMat.identity(cyclic.ncols),
                       f"{name}: signed cyclic operator has order != {n + 1}")
     return rep.as_dict()
 

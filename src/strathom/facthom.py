@@ -13,6 +13,7 @@ import functools
 import itertools
 import math
 import operator
+from fractions import Fraction
 
 from .exactla import SparseMat, chain_homology
 from .fincat import FinCategory, SimplicialFinSet, UnionFind
@@ -295,13 +296,15 @@ def thh_set_pi0(cat: FinCategory) -> TraceClassTable:
 
 # -- the cyclic bar construction --------------------------------------------------
 
-def _bar_elements(cat, n: int):
+def _bar_elements(cat, n: int, bar_hom=None):
     """Level n of the cyclic bar construction, sorted, in either backend:
-    objects (x_0..x_n) with g_i a (basis) morphism in hom(x_i, x_{i+1 cyc})."""
+    objects (x_0..x_n) with g_i a (basis) morphism in hom(x_i, x_{i+1 cyc}),
+    g_1..g_n from the per-slot basis `bar_hom(x, y)` (default `cat.hom`)."""
+    homs = (cat.hom,) + (bar_hom or cat.hom,) * n
     return sorted(
         (xs, gs) for xs in itertools.product(cat.objects, repeat=n + 1)
-        for gs in itertools.product(*(cat.hom(xs[i], xs[(i + 1) % (n + 1)])
-                                      for i in range(n + 1))))
+        for gs in itertools.product(*(hom(xs[i], xs[(i + 1) % (n + 1)])
+                                      for i, hom in enumerate(homs))))
 
 
 def _rotate(xs, gs):
@@ -346,16 +349,18 @@ def cyclic_bar_set_level(cat: FinCategory, n: int) -> SetCyclicLevel:
 # The linear structure maps, as functions of the bases of the levels they
 # read and write (`bases[n]`, and `index[n]` mapping it to positions).
 
-def _face_columns(cat, bases, index, n, i):
-    """d_i : C_n -> C_{n-1} as a list of columns, by `_set_face`'s formula."""
+def _face_columns(cat, bases, index, n, i, project=None):
+    """d_i : C_n -> C_{n-1} as a list of columns, by `_set_face`'s formula;
+    `project(x, z, vec)` rebases a composite landing in a slot j >= 1."""
     target = index[n - 1]
     cols = []
     for xs, gs in bases[n]:
         j = i
         if i == n:
             (xs, gs), j = _rotate(xs, gs), 0
-        vec = cat.compose_basis(xs[j], xs[j + 1], xs[(j + 2) % (n + 1)],
-                                gs[j], gs[j + 1])
+        x, z = xs[j], xs[(j + 2) % (n + 1)]
+        vec = cat.compose_basis(x, xs[j + 1], z, gs[j], gs[j + 1])
+        vec = project(x, z, vec) if j and project else vec
         new_xs = xs[:j + 1] + xs[j + 2:]
         col = {}
         for k, c in vec.items():
@@ -382,27 +387,73 @@ def _cyclic_matrix(bases, index, n) -> SparseMat:
         {index[n][_rotate(xs, gs)]: sign} for xs, gs in bases[n]])
 
 
+def _with_unit_coordinates(cat: LinearCategory) -> LinearCategory:
+    """`cat`, or over Z a copy in which each unit u has a coordinate ±1, by
+    extended-Euclid steps: renaming a + q·b as a, for the least |u_a| != 0,
+    turns u_b into u_b - q·u_a.  1 is primitive when hom(x, x) != 0."""
+    for x in cat.objects if not cat.ring.is_field else ():
+        while (u := cat.ring.reduce(cat.unit_vector(x))) and 1 not in map(
+                abs, u.values()):
+            a = min(u, key=lambda k: abs(u[k]))
+            b = next((k for k in u if k != a), None)
+            if b is None:
+                raise ValueError(f"the unit of {x} is not primitive")
+            cat = _transvection(cat, x, a, b, u[b] // u[a])
+    return cat
+
+
+def _transvection(cat, x, a, b, q) -> LinearCategory:
+    """`cat` with the basis element a of hom(x, x) standing for a + q·b."""
+    def expand(y, z, i):  # a new basis element in the old basis
+        return {a: 1, b: q} if (y, z, i) == (x, x, a) else {i: 1}
+
+    def product(table, w, y, z, i, j):
+        vec = {}
+        for (i0, c), (j0, d) in itertools.product(expand(w, y, i).items(),
+                                                  expand(y, z, j).items()):
+            for k, e in table.get((i0, j0), {}).items():
+                vec[k] = vec.get(k, 0) + c * d * e
+        return recoordinate(w, z, vec)
+
+    def recoordinate(y, z, vec):
+        if (y, z) == (x, x) and vec.get(a):
+            vec = {**vec, b: vec.get(b, 0) - q * vec[a]}
+        return cat.ring.reduce(vec)
+    sc = {(w, y, z): {(i, j): product(table, w, y, z, i, j)
+                      for i in cat.hom(w, y) for j in cat.hom(y, z)}
+          for (w, y, z), table in cat.sc.items()}
+    units = {y: recoordinate(y, y, u) for y, u in cat.units.items()}
+    return LinearCategory(cat.ring, cat.objects, cat.hom_basis, sc, units)
+
+
 class ChainComplexBundle:
-    """The cyclic bar chain complex of a linear category with its mixed
-    structure: the boundaries b, the signed cyclic operators t = (-1)^n tau
-    (tau the rotation), and Connes' operator B : C_n -> C_(n+1) from its
-    closed formula
-
-        B = sum_(k=0..n) (-1)^(nk) (1 + (-1)^n tau) s tau^k,
-
-    with s putting the unit in front (Loday, *Cyclic Homology*, §2.1).  That
-    is (1 - t) s N with the norm N = sum_k t^k multiplied out, one column
-    per basis element.  Boundary columns are summed with `+ -` and
-    normalized once, by `Ring.reduce`; B's entries are the exact sums,
-    zeros dropped.  Bases and boundaries are built at once; the mixed
-    structure on first use, since Hochschild homology never reads it.
-    """
+    """The normalized mixed complex C_n = A ⊗ Ā^(⊗n), Ā = A / k·1, of a
+    linear category (Loday, *Cyclic Homology*, §1.1 and §2.1): the HH, HC
+    and HC^- of the unnormalized `LinearCyclicLevel`s in dimension d(d-1)^n.
+    In an endomorphism slot i >= 1, Ā is based by hom(x, x)'s basis less
+    the pivot b*, the first element whose unit coefficient is invertible,
+    and a vector v landing there is projected to v - (v_(b*)/u_(b*))·u, b*
+    dropped.  The boundary is b = sum (-1)^i d_i, Connes' operator is
+    B = sum_(k=0..n) (-1)^(nk) s tau^k (s puts the unit in front, tau
+    rotates), columns are normalized by `Ring.reduce`, and B is lazy."""
 
     def __init__(self, cat: LinearCategory, n_max: int):
-        self.category = cat
-        self.ring = cat.ring
+        self.category = cat = _with_unit_coordinates(cat)
+        self.ring = ring = cat.ring
         self.n_max = n_max
-        self.bases = [_bar_elements(cat, n) for n in range(n_max + 1)]
+        self._pivots = {}  # x -> (b*, u / u_(b*) off b*)
+        for x in cat.objects:
+            u = ring.reduce(cat.unit_vector(x))
+            pivot = next((b for b in cat.hom(x, x) if b in u and (
+                ring.is_field or u[b] in (1, -1))), None)
+            if pivot is None and cat.hom(x, x):
+                raise ValueError(f"the unit of {x} has no invertible coordinate")
+            if pivot is not None:
+                scale = ring.normalize(Fraction(1, u.pop(pivot)))
+                self._pivots[x] = pivot, {k: c * scale for k, c in u.items()}
+        self.bases = [_bar_elements(cat, n, lambda x, y: [
+            b for b in cat.hom(x, y) if x != y or b != self._pivots[x][0]])
+            for n in range(n_max + 1)]
         self.index = [{b: i for i, b in enumerate(basis)} for basis in self.bases]
         self.dims = [len(b) for b in self.bases]
         self.boundaries = [None]  # b_0 is undefined
@@ -410,18 +461,24 @@ class ChainComplexBundle:
             self.boundaries.append(self._boundary(n))
 
     @functools.cached_property
-    def cyclic(self):
-        return [_cyclic_matrix(self.bases, self.index, n)
-                for n in range(self.n_max + 1)]
-
-    @functools.cached_property
     def connes_b(self):
         return [self._connes_b(n) for n in range(self.n_max)]
+
+    def _project(self, x, y, vec):
+        pivot, unit = self._pivots.get(x if x == y else None, (None, {}))
+        c = vec.get(pivot)
+        if c is None:
+            return vec
+        out = {k: v for k, v in vec.items() if k != pivot}
+        for k, w in unit.items():
+            out[k] = out.get(k, 0) - c * w
+        return out
 
     def _boundary(self, n) -> SparseMat:
         total = [dict() for _ in range(self.dims[n])]
         for i in range(n + 1):
-            faces = _face_columns(self.category, self.bases, self.index, n, i)
+            faces = _face_columns(self.category, self.bases, self.index, n, i,
+                                  self._project)
             op = operator.sub if i % 2 else operator.add
             for acc, col in zip(total, faces):
                 for row, v in col.items():
@@ -430,20 +487,22 @@ class ChainComplexBundle:
                                       map(self.ring.reduce, total))
 
     def _connes_b(self, n) -> SparseMat:
+        # g_0 lands in slot k + 1 of s tau^k, so it alone is projected
         cat, target = self.category, self.index[n + 1]
         flip = -1 if n % 2 else 1  # (-1)^n
         cols = []
         for xs, gs in self.bases[n]:
-            col, sign = {}, 1  # sign = (-1)^(nk) at tau^k
-            for _ in range(n + 1):
-                for k, c in cat.unit_vector(xs[0]).items():
-                    front = ((xs[0],) + xs, (k,) + gs)
-                    for row, v in ((target[front], sign * c),
-                                   (target[_rotate(*front)], flip * sign * c)):
-                        col[row] = col.get(row, 0) + v
-                xs, gs = _rotate(xs, gs)
-                sign *= flip
-            cols.append(col)
+            col = {}
+            for g, c in self._project(xs[0], xs[1 % (n + 1)],
+                                      {gs[0]: 1}).items():
+                ys, hs = xs, (g,) + gs[1:]
+                for _ in range(n + 1):  # c = (-1)^(nk) times g's coefficient
+                    for k, e in cat.unit_vector(ys[0]).items():
+                        row = target[((ys[0],) + ys, (k,) + hs)]
+                        col[row] = col.get(row, 0) + c * e
+                    ys, hs = _rotate(ys, hs)
+                    c *= flip
+            cols.append(self.ring.reduce(col))
         return SparseMat.from_columns(self.dims[n + 1], cols)
 
     def _is_zero(self, mat: SparseMat) -> bool:
@@ -468,7 +527,7 @@ class ChainComplexBundle:
 
 
 def connes_B(cat: LinearCategory, n: int) -> SparseMat:
-    """The degree-raising operator on the cyclic bar complex at degree n."""
+    """Connes' B : C_n -> C_(n+1) of the normalized `ChainComplexBundle`."""
     return ChainComplexBundle(cat, n + 1).connes_b[n]
 
 

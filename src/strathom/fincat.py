@@ -128,11 +128,11 @@ class FinCategory:
         return self.units.get(self._src[m]) == m and self._src[m] == self._tgt[m]
 
     def inverse(self, m):
-        """The inverse of m, or None when m is not an isomorphism."""
-        x, y = self._src[m], self._tgt[m]
-        for w in self.hom(y, x):
-            if (self.compose_table.get((w, m)) == self.units.get(x)
-                    and self.compose_table.get((m, w)) == self.units.get(y)):
+        """The inverse of m; None if m is no isomorphism or lacks units."""
+        ux, uy = self.units.get(self._src[m]), self.units.get(self._tgt[m])
+        for w in self.hom(self._tgt[m], self._src[m]):
+            if (None not in (ux, uy) and self.compose_table.get((w, m)) == ux
+                    and self.compose_table.get((m, w)) == uy):
                 return w
         return None
 

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,7 +11,8 @@ from strathom.enrich import (ground_ring_algebra, group_algebra,
                              matrix_algebra, nerve, product_algebra,
                              truncated_polynomial_algebra,
                              commutator_cokernel_invariants, zero_algebra)
-from strathom.facthom import (ChainComplexBundle, cart_facthom_disk, connes_B,
+from strathom.facthom import (ChainComplexBundle, LinearCyclicLevel,
+                              cart_facthom_disk, connes_B,
                               cyclic_bar_set_level, cyclic_homology,
                               enr_facthom_disk, facthom_set_pi0,
                               hochschild_homology, negative_cyclic_homology,
@@ -185,9 +188,17 @@ def test_set_cyclic_bar_simplicial_and_cyclic_identities():
 
 
 def test_linear_cyclic_bar_level_dims():
-    assert ChainComplexBundle(ground_ring_algebra(QQ), 3).dims == [1, 1, 1, 1]
-    assert ChainComplexBundle(
-        group_algebra(QQ, *cyclic_group_table(2)), 2).dims == [2, 4, 8]
+    # unnormalized levels have dimension d^(n+1), the normalized mixed
+    # complex d(d-1)^n
+    one = ground_ring_algebra(QQ)
+    z2 = group_algebra(QQ, *cyclic_group_table(2))
+    assert [LinearCyclicLevel(one, n).module.dim for n in range(4)] \
+        == [1, 1, 1, 1]
+    assert [LinearCyclicLevel(z2, n).module.dim for n in range(3)] == [2, 4, 8]
+    assert ChainComplexBundle(one, 3).dims == [1, 0, 0, 0]
+    assert ChainComplexBundle(z2, 2).dims == [2, 2, 2]
+    z3 = group_algebra(QQ, *cyclic_group_table(3))
+    assert ChainComplexBundle(z3, 6).dims[6] == 3 * 2 ** 6  # not 3^7 = 2,187
 
 
 # -- Hochschild homology -----------------------------------------------------------------------
@@ -326,7 +337,8 @@ def test_connes_b_degree_zero_against_identities():
     cx = ChainComplexBundle(alg, 3)
     assert cx.validate() == []
     b0 = connes_B(alg, 0)
-    assert b0.nrows == 1 and b0.ncols == 1
+    # the normalized C_1 = k ⊗ k/k is zero
+    assert b0.nrows == 0 and b0.ncols == 1
 
 
 def test_b_squared_vanishes_for_any_algebra():
@@ -340,7 +352,7 @@ def test_mixed_identity_for_group_algebra_in_low_degree():
     cx = ChainComplexBundle(alg, 3)
     mixed = cx.boundaries[2].mul(cx.connes_b[1]).add(
         cx.connes_b[0].mul(cx.boundaries[1]))
-    assert mixed.nrows == 4 and mixed.ncols == 4
+    assert mixed.nrows == 2 and mixed.ncols == 2
     assert mixed.is_zero()
     assert cx.validate() == []
 
@@ -359,32 +371,151 @@ def test_randomized_algebras_satisfy_chain_identities():
     assert count >= 20
 
 
-# -- Connes' B: the closed formula against the product form ------------------------------
+# -- the normalized mixed complex against the unnormalized one ----------------------------
+#
+# The oracle is the unnormalized complex, assembled from `LinearCyclicLevel`s:
+# b = sum (-1)^i d_i, and B = (1 - t) s N as `SparseMat` products.  The
+# projection pi : C -> C_bar onto A ⊗ Ā^(⊗n) is built from the unnormalized
+# bases, and the normalized complex must satisfy pi b = b_bar pi and
+# pi B = B_bar pi.
 
-def _connes_b_oracle(cx, n):
+def _negated(mat):
+    return SparseMat(mat.nrows, mat.ncols,
+                     [{j: -v for j, v in row.items()} for row in mat.rows])
+
+
+def _same_map(ring, a, b):
+    return (a.nrows, a.ncols) == (b.nrows, b.ncols) and all(
+        ring.is_zero(v) for row in a.add(_negated(b)).rows
+        for v in row.values())
+
+
+def _boundary_oracle(level):
+    """b = sum (-1)^i d_i on the unnormalized level."""
+    total = SparseMat(level.faces[0].nrows, level.faces[0].ncols)
+    for i, face in enumerate(level.faces):
+        total = total.add(face if i % 2 == 0 else _negated(face))
+    return total
+
+
+def _connes_b_oracle(alg, level, up):
     """Oracle: B = (1 - t) s N on C_n as `SparseMat` products, with t the
     signed cyclic operator, N = sum_k t^k its norm and s the extra
-    degeneracy (the unit put in front).  This is the product form that
-    `ChainComplexBundle` multiplies out."""
-    t = cx.cyclic[n]
-    power = norm = SparseMat.identity(cx.dims[n])
-    for _ in range(n):
+    degeneracy (the unit put in front); `level` and `up` are the
+    unnormalized levels n and n + 1."""
+    t = level.cyclic
+    power = norm = SparseMat.identity(level.module.dim)
+    for _ in range(level.n):
         power = t.mul(power)
         norm = norm.add(power)
-    extra = SparseMat.from_columns(cx.dims[n + 1], [
-        {cx.index[n + 1][((xs[0],) + xs, (k,) + gs)]: c
-         for k, c in cx.category.unit_vector(xs[0]).items()}
-        for xs, gs in cx.bases[n]])
-    minus_t = SparseMat(cx.dims[n + 1], cx.dims[n + 1],
-                        [{j: -v for j, v in row.items()}
-                         for row in cx.cyclic[n + 1].rows])
-    one_minus_t = SparseMat.identity(cx.dims[n + 1]).add(minus_t)
+    extra = SparseMat.from_columns(up.module.dim, [
+        {up.module.index[((xs[0],) + xs, (k,) + gs)]: c
+         for k, c in alg.unit_vector(xs[0]).items()}
+        for xs, gs in level.module.basis])
+    one_minus_t = SparseMat.identity(up.module.dim).add(_negated(up.cyclic))
     return one_minus_t.mul(extra).mul(norm)
+
+
+def _slot_projection(alg, x, y, g):
+    """g in hom(x, y) as a vector of Ā: in an endomorphism slot the pivot
+    b*, the first basis element with an invertible unit coefficient, goes to
+    -(u - u_(b*) b*) / u_(b*)."""
+    ring = alg.ring
+    u = ring.reduce(alg.unit_vector(x)) if x == y else {}
+    pivot = next((b for b in alg.hom(x, x) if b in u
+                  and (ring.is_field or u[b] in (1, -1))), None)
+    if g != pivot:
+        return {g: 1}
+    inverse = ring.normalize(Fraction(1, u[g]))
+    return {k: -c * inverse for k, c in u.items() if k != g}
+
+
+def _projection(alg, level, cx):
+    """pi : C_n -> C_bar_n, slot by slot on the unnormalized basis."""
+    n, cols = level.n, []
+    for xs, gs in level.module.basis:
+        slots = [{gs[0]: 1}] + [
+            _slot_projection(alg, xs[i], xs[(i + 1) % (n + 1)], gs[i])
+            for i in range(1, n + 1)]
+        col = {}
+        for combo in itertools.product(*(v.items() for v in slots)):
+            row = cx.index[n][(xs, tuple(g for g, _ in combo))]
+            col[row] = col.get(row, 0) + math.prod(c for _, c in combo)
+        cols.append(col)
+    return SparseMat.from_columns(cx.dims[n], cols)
+
+
+def _normalization_failures(alg, depth):
+    cx = ChainComplexBundle(alg, depth)
+    levels = [LinearCyclicLevel(alg, n) for n in range(depth + 1)]
+    pi = [_projection(alg, level, cx) for level in levels]
+    failures = []
+    for n in range(1, depth + 1):
+        if not _same_map(alg.ring, pi[n - 1].mul(_boundary_oracle(levels[n])),
+                         cx.boundaries[n].mul(pi[n])):
+            failures.append(f"pi b != b pi out of degree {n}")
+    for n in range(depth):
+        big_b = _connes_b_oracle(alg, levels[n], levels[n + 1])
+        if not _same_map(alg.ring, pi[n + 1].mul(big_b),
+                         cx.connes_b[n].mul(pi[n])):
+            failures.append(f"pi B != B pi out of degree {n}")
+    return failures
 
 
 def _json_copy(alg):
     from strathom.enrich import LinearCategory
     return LinearCategory.from_json_dict(alg.to_json_dict())
+
+
+def _linear_category(ring, homs, products, units):
+    """A linear category whose basis morphisms compose to basis morphisms
+    or to 0: homs[(x, y)] lists hom(x, y), products[(i, j)] = "i then j"."""
+    from strathom.enrich import LinearCategory
+    where = {i: key for key, basis in homs.items() for i in basis}
+    sc = {}
+    for i, (x, y) in where.items():
+        for j, (y2, z) in where.items():
+            if y == y2:
+                k = products.get((i, j))
+                sc.setdefault((x, y, z), {})[(i, j)] = {k: 1} if k else {}
+    objects = sorted({x for key in homs for x in key})
+    return LinearCategory(ring, objects, homs, sc,
+                          {x: {u: 1} for x, u in units.items()})
+
+
+def _chaotic_xy(ring):
+    """The linearized chaotic category on {x, y}: one morphism each way."""
+    names = {(a, b): a + b for a in "xy" for b in "xy"}
+    products = {(names[(a, b)], names[(b, c)]): names[(a, c)]
+                for a in "xy" for b in "xy" for c in "xy"}
+    return _linear_category(ring, {k: (v,) for k, v in names.items()},
+                            products, {"x": "xx", "y": "yy"})
+
+
+def _a2_path(ring):
+    """The A_2 path category: 1 -> 2, nothing back."""
+    homs = {("1", "1"): ("e1",), ("2", "2"): ("e2",), ("1", "2"): ("a",),
+            ("2", "1"): ()}
+    products = {("e1", "e1"): "e1", ("e2", "e2"): "e2", ("e1", "a"): "a",
+                ("a", "e2"): "a"}
+    return _linear_category(ring, homs, products, {"1": "e1", "2": "e2"})
+
+
+def _rescaled(alg, b, c):
+    """A one-object algebra with its basis element b standing for c·b, so
+    that the unit's b coordinate is divided by c."""
+    from strathom.enrich import algebra_from_table
+    ring, obj = alg.ring, alg.objects[0]
+    inverse = ring.normalize(Fraction(1, c))
+
+    def rebased(vec, scale=1):
+        return ring.reduce({k: v * scale * (inverse if k == b else 1)
+                            for k, v in vec.items()})
+    basis = alg.hom(obj, obj)
+    table = {(i, j): rebased(alg.compose_basis(obj, obj, obj, i, j),
+                             (c if i == b else 1) * (c if j == b else 1))
+             for i in basis for j in basis}
+    return algebra_from_table(ring, basis, table, rebased(alg.unit_vector(obj)))
 
 
 B_CASES = MIXED + [
@@ -394,16 +525,135 @@ B_CASES = MIXED + [
     ("Q x Q[x]/x^2", product_algebra(ground_ring_algebra(QQ),
                                      truncated_polynomial_algebra(QQ, 2)), 3),
 ]
+NORMALIZATION_CASES = B_CASES + [
+    ("zero", zero_algebra(QQ), 3),
+    ("chaotic{x,y} over Z", _chaotic_xy(ZZ), 3),
+    ("A_2 over F5", _a2_path(RingFp(5)), 3),
+    # pivots whose unit coefficient is not 1
+    ("M2(Q), E00 for 2 E00", _rescaled(matrix_algebra(QQ, 2), "E00", 2), 3),
+    ("M2(Z), E00 for -E00", _rescaled(matrix_algebra(ZZ, 2), "E00", -1), 3),
+]
 
 
-@pytest.mark.parametrize("alg, depth", [m[1:] for m in B_CASES],
-                         ids=[m[0] for m in B_CASES])
+@pytest.mark.parametrize("alg, depth", [m[1:] for m in NORMALIZATION_CASES],
+                         ids=[m[0] for m in NORMALIZATION_CASES])
 def test_connes_b_closed_form_matches_product_form(alg, depth):
     # validate() alone cannot catch a wrong B: B = 0 satisfies bB + Bb = 0
-    # and BB = 0
-    cx = ChainComplexBundle(alg, depth)
-    for n in range(depth):
-        assert cx.connes_b[n] == _connes_b_oracle(cx, n), n
+    # and BB = 0; so B_bar's closed form is checked against the product
+    # form of the unnormalized B, and b_bar against b, through pi
+    assert _normalization_failures(alg, depth) == []
+
+
+def test_two_object_categories_drop_degenerate_endomorphism_slots():
+    # every endomorphism hom is the ground ring, so slots 1..n must change
+    # objects: chaotic{x,y} keeps the 2 alternating chains, and in A_2
+    # every such chain needs a morphism 2 -> 1, which does not exist
+    from strathom.enrich import validate_linear_category
+    assert validate_linear_category(_chaotic_xy(ZZ)) == []
+    assert validate_linear_category(_a2_path(RingFp(5))) == []
+    assert ChainComplexBundle(_chaotic_xy(QQ), 3).dims == [2, 2, 2, 2]
+    assert ChainComplexBundle(_a2_path(QQ), 2).dims == [2, 0, 0]
+    hh = hochschild_homology(_chaotic_xy(ZZ), 2)
+    assert [(g["rank"], g["torsion"]) for g in hh] == [(1, []), (0, []),
+                                                      (0, [])]
+
+
+def _unnormalized_groups(alg, n_hh, n_hc, n_neg, i_max):
+    """HH, HC and HC^- of the unnormalized complex, the oracle."""
+    from types import SimpleNamespace
+    from strathom.facthom import _groups
+    top = max(n_hh + 1, n_hc + 1, n_neg + 2 * i_max + 1)
+    levels = [LinearCyclicLevel(alg, n) for n in range(top + 1)]
+    oracle = SimpleNamespace(
+        n_max=top, dims=[level.module.dim for level in levels],
+        boundaries=[None] + [_boundary_oracle(lv) for lv in levels[1:]],
+        connes_b=[_connes_b_oracle(alg, lv, up)
+                  for lv, up in zip(levels, levels[1:])])
+    hh = _groups(oracle.dims[:n_hh + 2], oracle.boundaries[:n_hh + 2],
+                 alg.ring)
+    hc = _groups(*_total_complex(oracle, n_hc, range(n_hc // 2 + 2)),
+                 alg.ring)
+    neg = _groups(*_total_complex(oracle, n_neg, range(0, -i_max - 1, -1)),
+                  alg.ring)
+    return hh, hc, neg
+
+
+@pytest.mark.parametrize("ring", [QQ, RingFp(5), ZZ], ids=["Q", "F5", "Z"])
+def test_normalized_groups_equal_the_unnormalized_oracle(ring):
+    from strathom.checks import random_associative_algebra
+    for seed in range(20):
+        alg = random_associative_algebra(ring, seed)
+        hh, hc, neg = _unnormalized_groups(alg, 3, 3, 1, 1)
+        assert hochschild_homology(alg, 3) == hh, seed
+        assert cyclic_homology(alg, 3) == hc, seed
+        assert negative_cyclic_homology(alg, 1, 1)["groups"] == neg, seed
+
+
+def test_z_unit_without_a_unit_coordinate_is_rebased():
+    # Z x Z in the basis v1 = (-1, 2), v2 = (1, -1): the unit (1, 1) is
+    # 2 v1 + 3 v2, and (p, q) = (p + q) v1 + (2p + q) v2
+    from strathom.enrich import LinearCategory, validate_linear_category
+    vectors = {"v1": (-1, 2), "v2": (1, -1)}
+
+    def coordinates(p, q):
+        return {k: c for k, c in (("v1", p + q), ("v2", 2 * p + q)) if c}
+    table = {(i, j): coordinates(vi[0] * vj[0], vi[1] * vj[1])
+             for i, vi in vectors.items() for j, vj in vectors.items()}
+    alg = LinearCategory(ZZ, ("*",), {("*", "*"): ("v1", "v2")},
+                         {("*", "*", "*"): table}, {"*": {"v1": 2, "v2": 3}})
+    assert validate_linear_category(alg) == []
+    hh = hochschild_homology(alg, 3)
+    assert [(g["rank"], g["torsion"]) for g in hh] \
+        == [(2, []), (0, []), (0, []), (0, [])]
+    hc = cyclic_homology(alg, 4)
+    assert [(g["rank"], g["torsion"]) for g in hc] \
+        == [(2, []), (0, []), (2, []), (0, []), (2, [])]
+    assert ChainComplexBundle(alg, 2).validate() == []
+
+
+def test_a_unit_that_is_not_primitive_is_rejected():
+    # 2 is no unit of Z: the unit vector must be primitive
+    from strathom.enrich import LinearCategory
+    alg = LinearCategory(ZZ, ("*",), {("*", "*"): ("e",)},
+                         {("*", "*", "*"): {("e", "e"): {"e": 1}}},
+                         {"*": {"e": 2}})
+    with pytest.raises(ValueError, match="not primitive"):
+        ChainComplexBundle(alg, 1)
+
+
+# Fault injection: each broken normalized complex must fail the oracle.
+
+def _mutated_method(cls, name, old, new):
+    """`cls.name` compiled from its source with `old` replaced by `new`."""
+    import inspect
+    import textwrap
+    from strathom import facthom
+    source = textwrap.dedent(inspect.getsource(getattr(cls, name)))
+    assert source.count(old) == 1
+    scope = {}
+    exec(compile(source.replace(old, new), facthom.__file__, "exec"),
+         vars(facthom), scope)
+    return scope[name]
+
+
+def test_oracle_catches_a_flipped_connes_b_sign(monkeypatch):
+    monkeypatch.setattr(ChainComplexBundle, "_connes_b", _mutated_method(
+        ChainComplexBundle, "_connes_b", "flip = -1 if n % 2 else 1",
+        "flip = 1 if n % 2 else -1"))
+    failures = [f for _, alg, depth in B_CASES
+                for f in _normalization_failures(alg, depth)]
+    assert failures and all("pi B" in f for f in failures)
+
+
+def test_oracle_catches_a_projection_that_only_drops_the_pivot(monkeypatch):
+    def drop_pivot(self, x, y, vec):
+        pivot = self._pivots[x][0] if x == y else None
+        return {k: v for k, v in vec.items() if k != pivot}
+    monkeypatch.setattr(ChainComplexBundle, "_project", drop_pivot)
+    # a unit that is the pivot alone (group algebras) cannot tell the two
+    # projections apart; M_2's E00 + E11 can
+    failures = _normalization_failures(matrix_algebra(QQ, 2), 3)
+    assert "pi b != b pi out of degree 2" in failures
 
 
 # -- groupoid object sets ---------------------------------------------------------------------

@@ -64,6 +64,16 @@ def test_inverse_is_the_two_sided_inverse_or_none():
     assert idem.inverse("phi") is None
 
 
+def test_inverse_needs_a_unit_at_both_ends():
+    # with no unit at x and no composite f∘f, "f∘f = 1_x" must not hold
+    # vacuously
+    cat = FinCategory(("x",), {("x", "x"): ("f",)}, {}, {})
+    assert cat.inverse("f") is None
+    report = FactorizationSystem(cat, frozenset(), frozenset()).validate()
+    assert "left class is missing isomorphisms" not in report
+    assert "right class is missing isomorphisms" not in report
+
+
 def test_dangling_identifier_reported():
     homs = {("*", "*"): ("id",)}
     cat = FinCategory(("*",), homs, {("id", "id"): "ghost"}, {"*": "id"})
