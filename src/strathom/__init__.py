@@ -19,17 +19,17 @@ from .manifold import (BundleMap, FinSpan, GraphManifold, RefinementDatum,
 from .indexing import (CoverOperator, ParacyclicOp, RefinementCategoryDescriptor,
                        SimplexMap, cyclic_equal, cyclic_reduce,
                        delta_op_factorize, disk_refinement_category,
-                       paracyclic_compose, rotation, standard_interval)
+                       enumerate_paracyclic, rotation, standard_interval)
 from .enrich import (LinearCategory, Module, corr_pushforward, group_algebra,
                      matrix_algebra, monoid_algebra, nerve, tensor_all_sets,
-                     validate_enriched_cat)
-from .facthom import (ChainComplexBundle, TraceClassTable, cart_facthom_disk,
-                      connes_B, cyclic_bar_level, cyclic_bar_set_level,
+                     validate_linear_category)
+from .facthom import (ChainComplexBundle, LinearCyclicLevel, SetCyclicLevel,
+                      TraceClassTable, cart_facthom_disk, connes_B,
                       cyclic_homology, enr_facthom_disk, facthom_set_pi0,
                       hochschild_homology, negative_cyclic_homology,
                       thh_set_pi0)
-from .cyclo import (CycloAction, TraceDatum, configuration_census,
-                    free_loop_census, free_monoid_category, necklace_count,
-                    psi_r, tc0, trace0)
+from .cyclo import (configuration_census, fixed_classes, free_loop_census,
+                    free_monoid_category, necklace_count, psi_r, tc0, trace0,
+                    trace_of)
 
 __version__ = "0.1.0"

@@ -93,7 +93,6 @@ def random_associative_algebra(ring, seed: int):
                                          {"E11": 1, "E22": 1})
     els, mult, unit = transformation_monoid(2, seed)
     if len(els) > 4:
-        els2 = els[:1]
         return enrich.monoid_algebra(ring, ("e",), {("e", "e"): "e"}, "e")
     return enrich.monoid_algebra(ring, els, mult, unit)
 
@@ -359,7 +358,7 @@ def suite_paracyclic() -> dict:
     # cyclic quotient: reps with offset 0 exhaust the homs, shifts act freely
     for m in range(3):
         for n in range(3):
-            reps = indexing.enumerate_cyclic(m, n)
+            reps = indexing.enumerate_paracyclic(m, n)
             rep.check(len(set(reps)) == len(reps), "duplicate cyclic reps")
             window = indexing.enumerate_paracyclic(m, n, offset_window=2)
             reduced = {indexing.cyclic_reduce(op).values for op in window}
@@ -754,7 +753,7 @@ def suite_trace() -> dict:
                       == table.class_of(composite),
                       "cyclic word does not reduce to its composite")
         # rotation triviality at levels 0 and 1
-        lvl1 = facthom.cyclic_bar_set_level(cat, 1)
+        lvl1 = facthom.SetCyclicLevel(cat, 1)
         for (xs, gs), (xs2, gs2) in lvl1.cyclic.items():
             a = cat.compose(gs[1], gs[0])
             b = cat.compose(gs2[1], gs2[0])

@@ -21,8 +21,8 @@ import tempfile
 
 from . import __version__
 from .checks import SUITES, run_suite
-from .cyclo import DEFAULT_DEGREES, MODEL_TAG, build_cyclo_action, trace0
-from .enrich import LinearCategory, validate_enriched_cat
+from .cyclo import DEFAULT_DEGREES, MODEL_TAG, fixed_classes, trace_of
+from .enrich import LinearCategory, validate_linear_category
 from .facthom import (cyclic_homology, enr_facthom_disk, facthom_set_pi0,
                       hochschild_homology, negative_cyclic_homology,
                       thh_set_pi0)
@@ -89,7 +89,7 @@ def load_algebra(path, data) -> LinearCategory:
         cat = LinearCategory.from_json_dict(data)
     except (KeyError, ValueError, TypeError) as exc:
         raise SchemaError(f"{path}: {exc}") from exc
-    report = validate_enriched_cat(cat)
+    report = validate_linear_category(cat)
     if report:
         raise ValidationFailure(report)
     return cat
@@ -244,15 +244,15 @@ def cmd_thh_set(args):
 def cmd_tc0(args):
     cat = load_category(args.category, args.data["category"])
     degrees = _parse_degrees(args.degrees)
-    action = build_cyclo_action(cat, degrees)
+    table = thh_set_pi0(cat)
     return {"verb": "tc0", "degrees": list(degrees),
-            "tc0": list(action.fixed_classes()),
-            "trace": action.trace().to_json_dict(), "model": MODEL_TAG}
+            "tc0": list(fixed_classes(table, degrees)),
+            "trace": trace_of(table), "model": MODEL_TAG}
 
 
 def cmd_trace(args):
     cat = load_category(args.category, args.data["category"])
-    return {"verb": "trace", "trace": trace0(cat).to_json_dict(),
+    return {"verb": "trace", "trace": trace_of(thh_set_pi0(cat)),
             "model": MODEL_TAG}
 
 

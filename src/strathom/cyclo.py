@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 from .fincat import FinCategory, monoid_category
 from .facthom import TraceClassTable, thh_set_pi0
@@ -60,68 +59,33 @@ def psi_well_defined(table: TraceClassTable, r: int) -> bool:
     return True
 
 
-@dataclass
-class CycloAction:
-    """A trace-class table with its repetition operators.
-
-    Rotation data is trivial on classes (recorded here for the two levels
-    where the cyclic operator is materialized: the identity at level 0, the
-    swap at level 1, both of which the trace relations collapse)."""
-
-    table: TraceClassTable
-    degrees: tuple
-    psis: dict = field(default_factory=dict)
-    rotation_trivial: bool = True
-
-    def __post_init__(self):
-        for r in self.degrees:
-            self.psis[r] = psi_r(self.table, r)
-
-    def fixed_classes(self):
-        out = []
-        for rep in self.table.class_representatives():
-            if all(self.psis[r][rep] == rep for r in self.degrees):
-                out.append(rep)
-        return tuple(out)
-
-    def trace(self) -> "TraceDatum":
-        return _trace_of(self.table)
+def fixed_classes(table: TraceClassTable, degrees=DEFAULT_DEGREES):
+    """Strict pi_0 TC: the classes fixed by every requested repetition
+    operator.  Identity classes are always fixed."""
+    psis = [psi_r(table, r) for r in degrees]
+    return tuple(rep for rep in table.class_representatives()
+                 if all(psi[rep] == rep for psi in psis))
 
 
-def build_cyclo_action(cat: FinCategory, degrees=DEFAULT_DEGREES) -> CycloAction:
-    return CycloAction(thh_set_pi0(cat), tuple(degrees))
+def trace_of(table: TraceClassTable):
+    """The unstable trace at pi_0: object -> its identity class, sorted by
+    object."""
+    cat = table.category
+    return dict(sorted((x, table.class_of(cat.unit(x))) for x in cat.objects))
 
 
 def tc0(cat: FinCategory, degrees=DEFAULT_DEGREES):
-    """Strict pi_0 topological cyclic homology: the classes fixed by every
-    requested repetition operator.  Identity classes are always fixed."""
-    action = build_cyclo_action(cat, degrees)
-    return action.fixed_classes()
+    return fixed_classes(thh_set_pi0(cat), degrees)
 
 
-@dataclass(frozen=True)
-class TraceDatum:
-    """The unstable trace at pi_0: object -> its identity class."""
-
-    assignment: dict
-
-    def to_json_dict(self):
-        return dict(sorted(self.assignment.items()))
-
-
-def _trace_of(table: TraceClassTable) -> TraceDatum:
-    cat = table.category
-    return TraceDatum({x: table.class_of(cat.unit(x)) for x in cat.objects})
-
-
-def trace0(cat: FinCategory) -> TraceDatum:
-    return _trace_of(thh_set_pi0(cat))
+def trace0(cat: FinCategory):
+    return trace_of(thh_set_pi0(cat))
 
 
 def trace_lands_in_tc0(cat: FinCategory, degrees=DEFAULT_DEGREES) -> bool:
-    action = build_cyclo_action(cat, degrees)
-    fixed = set(action.fixed_classes())
-    return all(c in fixed for c in action.trace().assignment.values())
+    table = thh_set_pi0(cat)
+    fixed = set(fixed_classes(table, degrees))
+    return all(c in fixed for c in trace_of(table).values())
 
 
 # -- groups and their loop spaces -------------------------------------------------

@@ -15,7 +15,7 @@ from collections import Counter
 
 from .exactla import Ring, SparseMat, cokernel_invariants, ring_from_name
 from .fincat import (FinCategory, SimplicialFinSet, check_json,
-                     validate_category)
+                     repeated_names)
 from .manifold import FinSpan
 
 
@@ -239,6 +239,16 @@ class LinearCategory:
         """Expansion of (i then j) in hom(x, z), as a dict basis -> coeff."""
         return self.sc.get((x, y, z), {}).get((i, j), {})
 
+    def compose_vectors(self, x, y, z, u, v):
+        """`compose_basis` extended bilinearly: (u then v) in hom(x, z) for
+        vectors u in hom(x, y) and v in hom(y, z), not normalized."""
+        table, out = self.sc.get((x, y, z), {}), {}
+        for i, ci in u.items():
+            for j, cj in v.items():
+                for k, c in table.get((i, j), {}).items():
+                    out[k] = out.get(k, 0) + ci * cj * c
+        return out
+
     def unit_vector(self, x):
         return self.units.get(x, {})
 
@@ -294,19 +304,18 @@ class LinearCategory:
 
 
 def validate_linear_category(cat: LinearCategory):
-    """Associativity and unit laws as identities of structure constants."""
-    report = []
+    """Distinct names, hom keys on known objects, and the associativity and
+    unit laws as identities of structure constants."""
     ring = cat.ring
     objs = cat.objects
-
-    def compose_vec(x, y, z, vec_xy, vec_yz):
-        out = {}
-        for i, ci in vec_xy.items():
-            for j, cj in vec_yz.items():
-                for k, c in cat.compose_basis(x, y, z, i, j).items():
-                    out[k] = out.get(k, 0) + ci * cj * c
-        return ring.reduce(out)
-
+    report = [f"duplicate object {x}" for x in repeated_names(objs)]
+    for (x, y), basis in cat.hom_basis.items():
+        if x not in objs or y not in objs:
+            report.append(f"hom ({x},{y}) references unknown object")
+        report += [f"duplicate basis element {b} in hom({x}, {y})"
+                   for b in repeated_names(basis)]
+    if report:
+        return report
     for w in objs:
         for x in objs:
             for y in objs:
@@ -314,12 +323,12 @@ def validate_linear_category(cat: LinearCategory):
                     for i in cat.hom(w, x):
                         for j in cat.hom(x, y):
                             for k in cat.hom(y, z):
-                                left = compose_vec(
+                                left = ring.reduce(cat.compose_vectors(
                                     w, y, z,
-                                    cat.compose_basis(w, x, y, i, j), {k: 1})
-                                right = compose_vec(
+                                    cat.compose_basis(w, x, y, i, j), {k: 1}))
+                                right = ring.reduce(cat.compose_vectors(
                                     w, x, z, {i: 1},
-                                    cat.compose_basis(x, y, z, j, k))
+                                    cat.compose_basis(x, y, z, j, k)))
                                 if left != right:
                                     report.append(
                                         f"associativity fails at ({i},{j},{k})")
@@ -330,21 +339,12 @@ def validate_linear_category(cat: LinearCategory):
             continue
         for y in objs:
             for i in cat.hom(x, y):
-                if compose_vec(x, x, y, u, {i: 1}) != {i: 1}:
+                if ring.reduce(cat.compose_vectors(x, x, y, u, {i: 1})) != {i: 1}:
                     report.append(f"left unit law fails at {i}")
             for i in cat.hom(y, x):
-                if compose_vec(y, x, x, {i: 1}, u) != {i: 1}:
+                if ring.reduce(cat.compose_vectors(y, x, x, {i: 1}, u)) != {i: 1}:
                     report.append(f"right unit law fails at {i}")
     return report
-
-
-def validate_enriched_cat(cat):
-    """Dispatch on the backend: FinCategory (Set) or LinearCategory."""
-    if isinstance(cat, FinCategory):
-        return validate_category(cat)
-    if isinstance(cat, LinearCategory):
-        return validate_linear_category(cat)
-    raise TypeError(f"not an enriched category presentation: {cat!r}")
 
 
 # -- algebra builders ------------------------------------------------------------

@@ -90,11 +90,36 @@ class RingQ(Ring):
         return Fraction(x)
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to every base above (Sorenson and Webster,
+# "Strong pseudoprimes to twelve prime bases", 2015)
+_MR_BOUND = 3317044064679887385961981
+
+
+def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin to the prime bases 2..41, exact below
+    `_MR_BOUND` (about 3.3·10^24).  Raises ValueError at or above it."""
+    if p >= _MR_BOUND:
+        raise ValueError(f"{p} is beyond the exact primality bound {_MR_BOUND}")
+    if p < 2 or any(p % a == 0 for a in _MR_BASES):
+        return p in _MR_BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d·2^s with d odd
+    for a in _MR_BASES:
+        x = pow(a, (p - 1) >> s, p)
+        for r in range(s):  # a passes if x = 1 or some x^(2^r) = -1
+            if x == p - 1 or x == 1 and r == 0:
+                break
+            x = x * x % p
+        else:
+            return False
+    return True
+
+
 class RingFp(Ring):
     is_field = True
 
     def __init__(self, p: int):
-        if p < 2 or any(p % q == 0 for q in range(2, int(math.isqrt(p)) + 1)):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.name = f"Fp:{p}"

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .exactla import SparseMat, chain_homology
 from .fincat import FinCategory, SimplicialFinSet, UnionFind
-from .enrich import LinearCategory, is_separable, tensor_all_sets
+from .enrich import LinearCategory, Module, is_separable, tensor_all_sets
 from .manifold import GraphManifold
 
 
@@ -75,34 +75,26 @@ def enr_facthom_disk(r: GraphManifold, cat, groupoid_isos=()):
     """
     if not r.is_disk_stratified:
         raise ValueError("enr_facthom_disk requires a disk-stratified manifold")
+    if not isinstance(cat, (FinCategory, LinearCategory)):
+        raise TypeError(f"unsupported enrichment {cat!r}")
     verts = sorted(r.vertices)
     edges = sorted(r.edges, key=lambda e: e.id)
+    out = []
+    for lam in itertools.product(cat.objects, repeat=len(verts)):
+        assign = dict(zip(verts, lam))
+        out += ((lam, decor) for decor in tensor_all_sets(
+            [cat.hom(assign[e.src], assign[e.dst]) for e in edges]))
+    out.sort()
     if isinstance(cat, FinCategory):
-        out = []
-        for lam in itertools.product(cat.objects, repeat=len(verts)):
-            assign = dict(zip(verts, lam))
-            homsets = [cat.hom(assign[e.src], assign[e.dst]) for e in edges]
-            for decor in tensor_all_sets(homsets):
-                out.append((lam, decor))
-        if not groupoid_isos:
-            return tuple(sorted(out))
-        return _groupoid_quotient_set(cat, verts, edges, out, groupoid_isos)
-    if isinstance(cat, LinearCategory):
-        from .enrich import Module
-        basis = []
-        for lam in itertools.product(cat.objects, repeat=len(verts)):
-            assign = dict(zip(verts, lam))
-            homs = [cat.hom(assign[e.src], assign[e.dst]) for e in edges]
-            for decor in itertools.product(*homs):
-                basis.append((lam, decor))
-        module = Module(cat.ring, tuple(sorted(basis)))
-        if not groupoid_isos:
-            return module
-        if not cat.ring.is_field:
-            raise NotImplementedError(
-                "linear groupoid coinvariants are supported over fields only")
-        return _groupoid_coinvariants(cat, verts, edges, module, groupoid_isos)
-    raise TypeError(f"unsupported enrichment {cat!r}")
+        return (_groupoid_quotient_set(cat, verts, edges, out, groupoid_isos)
+                if groupoid_isos else tuple(out))
+    module = Module(cat.ring, out)
+    if not groupoid_isos:
+        return module
+    if not cat.ring.is_field:
+        raise NotImplementedError(
+            "linear groupoid coinvariants are supported over fields only")
+    return _groupoid_coinvariants(cat, verts, edges, module, groupoid_isos)
 
 
 def _transport_element(cat, verts, edges, element, vi, alpha, alpha_inv):
@@ -146,7 +138,6 @@ def _groupoid_coinvariants(cat, verts, edges, module, isos):
     invertible basis element of hom(x, y); the inverse is recovered from the
     structure constants.
     """
-    from .enrich import Module
     ring = cat.ring
 
     resolved = []
@@ -176,18 +167,10 @@ def _groupoid_coinvariants(cat, verts, edges, module, isos):
             coeffs = {decor[ei]: 1}
             if e.src == v:
                 # precompose with the inverse: hom(x, t0) -> hom(y, t0)
-                new = {}
-                for g, c in coeffs.items():
-                    for k, c2 in cat.compose_basis(y, x, t0, binv, g).items():
-                        new[k] = new.get(k, 0) + c * c2
-                coeffs = new
+                coeffs = cat.compose_vectors(y, x, t0, {binv: 1}, coeffs)
             if e.dst == v:
                 # postcompose: hom(s1, x) -> hom(s1, y)
-                new = {}
-                for g, c in coeffs.items():
-                    for k, c2 in cat.compose_basis(s1, x, y, g, b).items():
-                        new[k] = new.get(k, 0) + c * c2
-                coeffs = new
+                coeffs = cat.compose_vectors(s1, x, y, coeffs, {b: 1})
             parts.append(coeffs)
         out = {}
         for combo in itertools.product(*(p.items() for p in parts)):
@@ -342,10 +325,6 @@ class SetCyclicLevel:
         self.cyclic = {(xs, gs): _rotate(xs, gs) for (xs, gs) in self.elements}
 
 
-def cyclic_bar_set_level(cat: FinCategory, n: int) -> SetCyclicLevel:
-    return SetCyclicLevel(cat, n)
-
-
 # The linear structure maps, as functions of the bases of the levels they
 # read and write (`bases[n]`, and `index[n]` mapping it to positions).
 
@@ -407,21 +386,14 @@ def _transvection(cat, x, a, b, q) -> LinearCategory:
     def expand(y, z, i):  # a new basis element in the old basis
         return {a: 1, b: q} if (y, z, i) == (x, x, a) else {i: 1}
 
-    def product(table, w, y, z, i, j):
-        vec = {}
-        for (i0, c), (j0, d) in itertools.product(expand(w, y, i).items(),
-                                                  expand(y, z, j).items()):
-            for k, e in table.get((i0, j0), {}).items():
-                vec[k] = vec.get(k, 0) + c * d * e
-        return recoordinate(w, z, vec)
-
     def recoordinate(y, z, vec):
         if (y, z) == (x, x) and vec.get(a):
             vec = {**vec, b: vec.get(b, 0) - q * vec[a]}
         return cat.ring.reduce(vec)
-    sc = {(w, y, z): {(i, j): product(table, w, y, z, i, j)
+    sc = {(w, y, z): {(i, j): recoordinate(w, z, cat.compose_vectors(
+                          w, y, z, expand(w, y, i), expand(y, z, j)))
                       for i in cat.hom(w, y) for j in cat.hom(y, z)}
-          for (w, y, z), table in cat.sc.items()}
+          for (w, y, z) in cat.sc}
     units = {y: recoordinate(y, y, u) for y, u in cat.units.items()}
     return LinearCategory(cat.ring, cat.objects, cat.hom_basis, sc, units)
 
@@ -532,12 +504,12 @@ def connes_B(cat: LinearCategory, n: int) -> SparseMat:
 
 
 class LinearCyclicLevel:
-    """Level n of the linear cyclic bar construction: the based module with
-    its face, degeneracy and signed cyclic operator matrices, built from the
-    bases of levels n - 1, n and n + 1 alone."""
+    """Level n of the unnormalized linear cyclic bar construction: the based
+    module with its face, degeneracy and signed cyclic operator matrices,
+    built from the bases of levels n - 1, n and n + 1 alone.  It is the
+    unnormalized oracle for the normalized `ChainComplexBundle`."""
 
     def __init__(self, cat: LinearCategory, n: int):
-        from .enrich import Module
         bases = {d: _bar_elements(cat, d) for d in range(max(n - 1, 0), n + 2)}
         index = {d: {b: i for i, b in enumerate(basis)}
                  for d, basis in bases.items()}
@@ -549,15 +521,6 @@ class LinearCyclicLevel:
         self.degens = [_degeneracy_matrix(cat, bases, index, n, i)
                        for i in range(n + 1)]
         self.cyclic = _cyclic_matrix(bases, index, n)
-
-
-def cyclic_bar_level(cat, n: int):
-    """Level n of the cyclic bar construction, dispatched on the backend."""
-    if isinstance(cat, FinCategory):
-        return SetCyclicLevel(cat, n)
-    if isinstance(cat, LinearCategory):
-        return LinearCyclicLevel(cat, n)
-    raise TypeError(f"unsupported enrichment {cat!r}")
 
 
 def hochschild_homology(cat: LinearCategory, n_max: int):

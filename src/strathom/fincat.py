@@ -9,6 +9,7 @@ same machinery carry length-bounded free constructions.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 _JSON_NAMES = {str: "a string", int: "an integer", list: "a list",
@@ -34,6 +35,11 @@ def check_json(value, shape, field):
             if nested or not isinstance(item, inner) or type(item) is bool:
                 check_json(item, inner, f"{field}[{key!r}]")
     return value
+
+
+def repeated_names(names):
+    """The names listed more than once, each once, in order of appearance."""
+    return [x for x, count in Counter(names).items() if count > 1]
 
 
 class UnionFind:
@@ -200,7 +206,7 @@ def validate_category(cat: FinCategory):
     f' once.  So on a table that passes the unit laws the report is empty
     exactly when the table is associative; every triple it names fails.
     """
-    report = []
+    report = [f"duplicate object {x}" for x in repeated_names(cat.objects)]
     names = set()
     for (s, t), ms in cat.homs.items():
         if s not in cat.objects or t not in cat.objects:
@@ -691,7 +697,6 @@ def free_act(vertex_set, m_max: int) -> FinCategory:
     units = {v: _seq_name((v,)) for v in vs}
     cat = FinCategory(vs, {k: tuple(v) for k, v in homs.items()}, compose, units)
     cat.overflow = frozenset(overflow)
-    cat.sequence_of = seq_of
     return cat
 
 

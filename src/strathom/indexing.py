@@ -178,26 +178,16 @@ def cyclic_equal(a: ParacyclicOp, b: ParacyclicOp) -> bool:
     return (a.m, a.n) == (b.m, b.n) and cyclic_reduce(a) == cyclic_reduce(b)
 
 
-def paracyclic_compose(a: ParacyclicOp, b: ParacyclicOp) -> ParacyclicOp:
-    """a ∘ b in the paracyclic category."""
-    return a.compose(b)
-
-
 def enumerate_paracyclic(m, n, offset_window=1):
     """All operators level m -> level n with f(0) in the given window of
     fundamental domains; the full hom set is the free orbit of the window-0
-    slice under central shifts."""
+    slice under central shifts, which represents the cyclic quotient."""
     out = []
     for v0 in range((offset_window) * (n + 1)):
         for rest in itertools.combinations_with_replacement(
                 range(v0, v0 + n + 2), m):
             out.append(ParacyclicOp(m, n, (v0,) + rest))
     return out
-
-
-def enumerate_cyclic(m, n):
-    """Representatives of the cyclic quotient hom set."""
-    return enumerate_paracyclic(m, n, offset_window=1)
 
 
 def central_shift(n, k=1) -> ParacyclicOp:

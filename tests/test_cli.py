@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -136,6 +137,61 @@ def test_repeated_morphism_name_is_a_schema_error(tmp_path, capsys):
     error = json.loads(out)["error"]
     assert error["type"] == "schema"
     assert error["message"] == f"{p}: morphism name 'id' reused"
+
+
+D1 = {"vertices": ["a", "b"], "edges": [{"id": "e", "src": "a", "dst": "b"}],
+      "circles": 0}
+
+
+@pytest.mark.parametrize("data, finding", [
+    (dict(IDEM, objects=["*", "*"]), "duplicate object *"),
+    (dict(Q_ALGEBRA, objects=["*", "*"]), "duplicate object *"),
+    (dict(Q_ALGEBRA, hom_dims={"*->*": ["1", "1"]}),
+     "duplicate basis element 1 in hom(*, *)"),
+    (dict(Q_ALGEBRA, hom_dims={"*->*": ["1"], "*->y": ["f"]}),
+     "hom (*,y) references unknown object"),
+], ids=["set-object", "linear-object", "linear-basis", "linear-unknown-object"])
+def test_repeated_or_unknown_names_are_validation_failures(tmp_path, capsys,
+                                                           data, finding):
+    """A repeated name used to be counted twice: `facthom` on the idempotent
+    with its object listed twice gave cardinality 4 over d1, and `hh` of Q
+    with a repeated object or basis element gave HH_0 of rank 2."""
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(data))
+    mani = tmp_path / "d1.json"
+    mani.write_text(json.dumps(D1))
+    argv = (("hh", "--algebra", str(path)) if "ring" in data else
+            ("facthom", "--manifold", str(mani), "--category", str(path)))
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert json.loads(out)["error"] == {"type": "validation",
+                                        "report": [finding]}
+
+
+@pytest.mark.parametrize("modulus, code, message", [
+    (10 ** 18 + 3, 0, None),
+    (10 ** 18 + 1, 2, "is not prime"),
+    # a strong pseudoprime to the bases 2, 3, 5 and 7; its least factor is 151
+    (3215031751, 2, "is not prime"),
+    # a strong pseudoprime to every prime base up to 37
+    (318665857834031151167461, 2, "is not prime"),
+    (3317044064679887385961981, 2, "beyond the exact primality bound"),
+])
+def test_large_fp_modulus_is_decided_at_once(tmp_path, capsys, modulus, code,
+                                             message):
+    """Trial division up to the square root of 10^18 + 3 ran for more than
+    20 s; Miller-Rabin decides every modulus below its exact bound at once,
+    and a modulus above the bound is a schema error."""
+    path = tmp_path / "fp.json"
+    path.write_text(json.dumps(dict(Q_ALGEBRA, ring=f"Fp:{modulus}")))
+    start = time.perf_counter()
+    got, out = run(capsys, "hh", "--algebra", str(path))
+    assert time.perf_counter() - start < 1
+    assert got == code
+    if message:
+        assert message in json.loads(out)["error"]["message"]
+    else:
+        assert [g["rank"] for g in json.loads(out)["groups"]] == [1, 0, 0, 0, 0]
 
 
 def test_backend_mismatch_is_validation_error(inputs, capsys):

@@ -3,15 +3,15 @@ import itertools
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from strathom.cyclo import (burnside_necklace_count, build_cyclo_action,
-                            configuration_census, conjugacy_classes,
-                            cyclic_group_table, free_loop_census,
+from strathom.cyclo import (burnside_necklace_count, configuration_census,
+                            conjugacy_classes, cyclic_group_table,
+                            fixed_classes, free_loop_census,
                             free_monoid_category, group_category,
                             necklace_count, psi_r, psi_well_defined,
                             quaternion_group_table, symmetric_group_table,
                             tc0, trace0, trace_classes_by_length,
                             trace_lands_in_tc0)
-from strathom.facthom import thh_set_pi0
+from strathom.facthom import SetCyclicLevel, thh_set_pi0
 from strathom.fincat import discrete_category, walking_idempotent
 
 
@@ -78,29 +78,23 @@ def test_tc0_of_discrete_category_keeps_everything():
 
 
 def test_cyclo_action_metadata():
-    action = build_cyclo_action(IDEM, (2, 3))
-    assert action.rotation_trivial
-    assert action.fixed_classes() == ("id", "phi")
+    assert fixed_classes(thh_set_pi0(IDEM), (2, 3)) == ("id", "phi")
 
 
 # -- trace -----------------------------------------------------------------------------
 
 def test_trace_of_idempotent_selects_identity_class():
-    datum = trace0(IDEM)
-    assert datum.assignment == {"*": "id"}
+    assert trace0(IDEM) == {"*": "id"}
 
 
 def test_trace_of_s3_is_unit_class():
     cat = group_category(*symmetric_group_table(3))
-    datum = trace0(cat)
-    table = thh_set_pi0(cat)
-    assert datum.assignment["*"] == table.class_of("012")
+    assert trace0(cat) == {"*": thh_set_pi0(cat).class_of("012")}
 
 
 def test_trace_of_discrete_category_is_bijective_onto_tc0():
     cat = discrete_category(("x", "y"))
-    datum = trace0(cat)
-    assert sorted(datum.assignment.values()) == sorted(tc0(cat, (2, 3)))
+    assert sorted(trace0(cat).values()) == sorted(tc0(cat, (2, 3)))
 
 
 def test_trace_always_lands_in_tc0():
@@ -221,10 +215,9 @@ def test_free_monoid_table_is_the_brute_force_pair_filter(m, bound):
 
 
 def test_rotation_acts_trivially_on_classes():
-    from strathom.facthom import cyclic_bar_set_level
     for cat in (IDEM, BZ4):
         table = thh_set_pi0(cat)
-        lvl = cyclic_bar_set_level(cat, 1)
+        lvl = SetCyclicLevel(cat, 1)
         for (xs, gs) in lvl.elements:
             rot = lvl.cyclic[(xs, gs)]
             a = cat.compose(gs[1], gs[0])

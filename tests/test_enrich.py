@@ -15,9 +15,10 @@ from strathom.enrich import (LinearCategory, algebra_from_table,
                              sets_bijective, span_of_pointed_map,
                              tensor_all_sets, tensor_all_modules,
                              truncated_polynomial_algebra,
-                             validate_enriched_cat, validate_linear_category,
+                             validate_linear_category,
                              Module, Product, zero_algebra)
-from strathom.fincat import poset_category, walking_idempotent
+from strathom.fincat import (poset_category, validate_category,
+                             walking_idempotent)
 from strathom.manifold import FinSpan, compose_spans
 from strathom.cyclo import cyclic_group_table
 
@@ -25,11 +26,11 @@ from strathom.cyclo import cyclic_group_table
 # -- validation ---------------------------------------------------------------
 
 def test_ground_ring_is_a_valid_one_object_category():
-    assert validate_enriched_cat(ground_ring_algebra(QQ)) == []
+    assert validate_linear_category(ground_ring_algebra(QQ)) == []
 
 
 def test_walking_idempotent_validates_as_set_enriched():
-    assert validate_enriched_cat(walking_idempotent()) == []
+    assert validate_category(walking_idempotent()) == []
 
 
 def test_broken_associativity_is_listed():
@@ -56,6 +57,26 @@ def test_matrix_algebra_and_group_algebra_validate():
         truncated_polynomial_algebra(RingFp(5), 3)) == []
     assert validate_linear_category(
         product_algebra(ground_ring_algebra(QQ), ground_ring_algebra(QQ))) == []
+
+
+def test_compose_vectors_is_compose_basis_extended_bilinearly():
+    """On M_2(Z), "u then v" is the matrix product u·v, and equals the sum
+    over basis pairs (i, j) of u_i v_j compose_basis(i, j)."""
+    alg = matrix_algebra(ZZ, 2)
+    u = {"E00": 3, "E01": -2, "E11": 5}
+    v = {"E00": 7, "E10": 4, "E11": -6}
+    out = alg.compose_vectors("*", "*", "*", u, v)
+    product = {f"E{a}{d}": sum(u.get(f"E{a}{b}", 0) * v.get(f"E{b}{d}", 0)
+                               for b in range(2))
+               for a in range(2) for d in range(2)}
+    assert ZZ.reduce(out) == ZZ.reduce(product) == {
+        "E00": 13, "E01": 12, "E10": 20, "E11": -30}
+    pairwise = {}
+    for i, ci in u.items():
+        for j, cj in v.items():
+            for k, c in alg.compose_basis("*", "*", "*", i, j).items():
+                pairwise[k] = pairwise.get(k, 0) + ci * cj * c
+    assert out == pairwise
 
 
 def test_zero_algebra_validates_with_empty_homs():

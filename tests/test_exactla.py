@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from strathom.exactla import (QQ, RingFp, SparseMat, ZZ, chain_homology,
-                              cokernel_invariants, ring_from_name,
+                              cokernel_invariants, is_prime, ring_from_name,
                               smith_invariant_factors)
 
 
@@ -19,6 +19,15 @@ def test_ring_parsing():
         ring_from_name("Fp:6")
     with pytest.raises(ValueError):
         ring_from_name("R")
+
+
+def test_miller_rabin_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+    rng = random.Random(0)
+    for n in [*range(-2, 3000), *(rng.randrange(10 ** 9) for _ in range(300)),
+              561, 41041, 3215031751]:  # two Carmichael numbers
+        assert is_prime(n) == trial(n), n
 
 
 def test_fp_inverse_and_fraction_parse():

@@ -12,11 +12,11 @@ from strathom.enrich import (ground_ring_algebra, group_algebra,
                              truncated_polynomial_algebra,
                              commutator_cokernel_invariants, zero_algebra)
 from strathom.facthom import (ChainComplexBundle, LinearCyclicLevel,
-                              cart_facthom_disk, connes_B,
-                              cyclic_bar_set_level, cyclic_homology,
-                              enr_facthom_disk, facthom_set_pi0,
-                              hochschild_homology, negative_cyclic_homology,
-                              _total_complex, thh_set_pi0)
+                              SetCyclicLevel, cart_facthom_disk, connes_B,
+                              cyclic_homology, enr_facthom_disk,
+                              facthom_set_pi0, hochschild_homology,
+                              negative_cyclic_homology, _total_complex,
+                              thh_set_pi0)
 from strathom.fincat import (discrete_category, monoid_category,
                              poset_category, walking_idempotent)
 from strathom.indexing import standard_interval
@@ -157,17 +157,17 @@ def test_trace_table_json_shape():
 # -- cyclic bar levels --------------------------------------------------------------------------
 
 def test_set_cyclic_bar_level_sizes():
-    lvl = cyclic_bar_set_level(walking_idempotent(), 1)
+    lvl = SetCyclicLevel(walking_idempotent(), 1)
     assert len(lvl.elements) == 4
-    lvl0 = cyclic_bar_set_level(walking_idempotent(), 0)
+    lvl0 = SetCyclicLevel(walking_idempotent(), 0)
     assert len(lvl0.elements) == 2
     assert all(lvl0.cyclic[e] == e for e in lvl0.elements)
 
 
 def test_set_cyclic_bar_simplicial_and_cyclic_identities():
     cat = monoid_category(*cyclic_group_table(2))
-    lv1 = cyclic_bar_set_level(cat, 1)
-    lv2 = cyclic_bar_set_level(cat, 2)
+    lv1 = SetCyclicLevel(cat, 1)
+    lv2 = SetCyclicLevel(cat, 2)
     # d_i d_j = d_{j-1} d_i for i < j, from level 2 to level 0
     for x in lv2.elements:
         for j in range(3):
@@ -713,21 +713,10 @@ def test_empty_category_gives_empty_values():
 
 # -- unified cyclic bar levels ---------------------------------------------------------------------
 
-def test_cyclic_bar_level_dispatches_on_backend():
-    from strathom.facthom import LinearCyclicLevel, SetCyclicLevel, \
-        cyclic_bar_level
-    assert isinstance(cyclic_bar_level(walking_idempotent(), 1),
-                      SetCyclicLevel)
-    lvl = cyclic_bar_level(group_algebra(QQ, *cyclic_group_table(2)), 1)
-    assert isinstance(lvl, LinearCyclicLevel)
-    assert lvl.module.dim == 4
-
-
 def test_linear_level_matrices_satisfy_simplicial_identities():
     alg = group_algebra(QQ, *cyclic_group_table(2))
-    from strathom.facthom import cyclic_bar_level
-    lv2 = cyclic_bar_level(alg, 2)
-    lv1 = cyclic_bar_level(alg, 1)
+    lv2 = LinearCyclicLevel(alg, 2)
+    lv1 = LinearCyclicLevel(alg, 1)
     # d_i d_j = d_{j-1} d_i for i < j
     for j in range(3):
         for i in range(j):

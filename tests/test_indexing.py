@@ -6,8 +6,7 @@ from strathom.indexing import (CoverOperator, ParacyclicOp, SimplexMap,
                                central_shift_is_natural, coface,
                                cyclic_equal, cyclic_reduce,
                                delta_op_factorize, disk_refinement_category,
-                               enumerate_cyclic, enumerate_paracyclic,
-                               paracyclic_compose, rotation, rotation_power,
+                               enumerate_paracyclic, rotation, rotation_power,
                                standard_interval)
 from strathom.manifold import d0, pointed_circle, smooth_circle
 
@@ -127,18 +126,13 @@ def test_paracyclic_composition_associative(data):
 def test_cyclic_quotient_fibers_are_free_orbits():
     for m in range(3):
         for n in range(3):
-            reps = enumerate_cyclic(m, n)
+            reps = enumerate_paracyclic(m, n)
             window = enumerate_paracyclic(m, n, offset_window=3)
             assert {cyclic_reduce(o).values for o in window} \
                 == {o.values for o in reps}
             for op in reps:
                 assert cyclic_reduce(op.shift(2)) == op
                 assert op.shift(1) != op
-
-
-def test_paracyclic_compose_alias():
-    tau = rotation(1)
-    assert paracyclic_compose(tau, tau).values == (2, 3)
 
 
 # -- cover operators -------------------------------------------------------------------
