@@ -68,42 +68,34 @@ def _load_json(path, text):
     return data
 
 
+def _load(path, data, cls, validate):
+    """Parse `data` as a `cls` and validate it: a malformed dict is a schema
+    error, a non-empty validation report a validation failure."""
+    try:
+        obj = cls.from_json_dict(data)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+    report = validate(obj)
+    if report:
+        raise ValidationFailure(report)
+    return obj
+
+
 def load_category(path, data) -> FinCategory:
     if "ring" in data:
         raise SchemaError(f"{path}: expected a Set-enriched category, "
                           "found a linear one (has 'ring')")
-    try:
-        cat = FinCategory.from_json_dict(data)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
-    report = validate_category(cat)
-    if report:
-        raise ValidationFailure(report)
-    return cat
+    return _load(path, data, FinCategory, validate_category)
 
 
 def load_algebra(path, data) -> LinearCategory:
     if "ring" not in data:
         raise SchemaError(f"{path}: linear input needs a 'ring' field")
-    try:
-        cat = LinearCategory.from_json_dict(data)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
-    report = validate_linear_category(cat)
-    if report:
-        raise ValidationFailure(report)
-    return cat
+    return _load(path, data, LinearCategory, validate_linear_category)
 
 
 def load_manifold(path, data) -> GraphManifold:
-    try:
-        m = GraphManifold.from_json_dict(data)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
-    report = validate_manifold(m)
-    if report:
-        raise ValidationFailure(report)
-    return m
+    return _load(path, data, GraphManifold, validate_manifold)
 
 
 def _parse_degrees(text):
@@ -354,13 +346,12 @@ _INPUTS = ("algebra", "manifold", "category")
 
 def _input_fingerprint(args, texts):
     """Hashable view of everything that determines the result, the code
-    that computes it included."""
-    payload = {"verb": args.verb, "version": __version__,
-               "code": _code_digest(), **texts}
-    for attr in ("max_degree", "degrees", "backend", "suite", "negative",
-                 "i_max"):
-        if hasattr(args, attr):
-            payload[attr] = getattr(args, attr)
+    that computes it included: every parsed option but the output format
+    and the cache directory, with the input texts in place of their
+    paths."""
+    payload = {k: v for k, v in vars(args).items()
+               if k not in ("cache", "out", "fn")}
+    payload.update(texts, version=__version__, code=_code_digest())
     return payload
 
 

@@ -27,13 +27,6 @@ def tensor_all_sets(values):
     return tuple(itertools.product(*values))
 
 
-def sets_bijective(a, b):
-    """Sets agree up to bijection; returns a witness (or None)."""
-    if len(a) != len(b):
-        return None
-    return dict(zip(sorted(a, key=repr), sorted(b, key=repr)))
-
-
 class Product:
     """The product of finite value sets, one per slot, as a lazy mixed-radix
     layout.
@@ -208,11 +201,6 @@ class Module:
         return f"Module({self.ring.name}, dim={self.dim})"
 
 
-def tensor_all_modules(ring, modules):
-    """Based tensor product in canonical order; empty input gives the unit."""
-    return Module(ring, tuple(itertools.product(*(m.basis for m in modules))))
-
-
 class LinearCategory:
     """A category enriched in based free modules, by structure constants.
 
@@ -304,8 +292,9 @@ class LinearCategory:
 
 
 def validate_linear_category(cat: LinearCategory):
-    """Distinct names, hom keys on known objects, and the associativity and
-    unit laws as identities of structure constants."""
+    """Distinct names, hom keys on known objects, structure constants and
+    units that name only basis elements of their homs, and the
+    associativity and unit laws as identities of structure constants."""
     ring = cat.ring
     objs = cat.objects
     report = [f"duplicate object {x}" for x in repeated_names(objs)]
@@ -314,6 +303,18 @@ def validate_linear_category(cat: LinearCategory):
             report.append(f"hom ({x},{y}) references unknown object")
         report += [f"duplicate basis element {b} in hom({x}, {y})"
                    for b in repeated_names(basis)]
+    homs = {key: set(basis) for key, basis in cat.hom_basis.items()}
+    for (x, y, z), table in cat.sc.items():
+        for (i, j), vec in table.items():
+            if i not in homs.get((x, y), ()) or j not in homs.get((y, z), ()):
+                report.append(f"structure constant {i},{j} at {x},{y},{z} "
+                              f"is not a pair in hom({x}, {y}) x hom({y}, {z})")
+            report += [f"structure constant {i},{j} at {x},{y},{z} names {k}, "
+                       f"not in hom({x}, {z})"
+                       for k in vec if k not in homs.get((x, z), ())]
+    for x, vec in cat.units.items():
+        report += [f"unit at {x} names {k}, not in hom({x}, {x})"
+                   for k in vec if k not in homs.get((x, x), ())]
     if report:
         return report
     for w in objs:
@@ -349,12 +350,11 @@ def validate_linear_category(cat: LinearCategory):
 
 # -- algebra builders ------------------------------------------------------------
 
-def algebra_from_table(ring, basis, table, unit_vec, obj="*") -> LinearCategory:
+def algebra_from_table(ring, basis, table, unit_vec) -> LinearCategory:
     """One-object linear category from multiplication structure constants;
     table[(i, j)] expands i·j (i first)."""
-    sc = {(obj, obj, obj): {pair: dict(vec) for pair, vec in table.items()}}
-    return LinearCategory(ring, (obj,), {(obj, obj): tuple(basis)}, sc,
-                          {obj: dict(unit_vec)})
+    return LinearCategory(ring, ("*",), {("*", "*"): basis},
+                          {("*", "*", "*"): table}, {"*": unit_vec})
 
 
 def ground_ring_algebra(ring) -> LinearCategory:
@@ -450,10 +450,10 @@ def is_separable(cat: LinearCategory) -> bool:
     mu(e) = 1 and a·e = e·a for every basis element a, where a·(u ⊗ w) =
     au ⊗ w and (u ⊗ w)·a = u ⊗ wa; products of non-composable basis
     elements are 0.  These conditions are a linear system M c = v, solved
-    exactly: over a field v lies in the image when rank M = rank [M | v];
-    over Z when coker M and coker [M | v] have the same invariants, since
-    the natural map between them is onto and an onto map between
-    isomorphic finitely generated abelian groups is an isomorphism.  A
+    exactly: v lies in the image when coker M and coker [M | v] have the
+    same invariants, since the natural map between them is onto and an onto
+    map between isomorphic finitely generated modules over a field or Z is
+    an isomorphism (over a field, equal cokernels mean equal ranks).  A
     separable A is projective over A ⊗ A^op, so HH_n(A) = 0 for n > 0
     (Weibel, *An Introduction to Homological Algebra*, §9.2).
     """
@@ -489,8 +489,6 @@ def is_separable(cat: LinearCategory) -> bool:
     nrows = d + d ** 3
     mat = SparseMat.from_columns(nrows, cols)
     extended = SparseMat.from_columns(nrows, cols + [one])
-    if ring.is_field:
-        return mat.rank(ring) == extended.rank(ring)
     return cokernel_invariants(mat, ring) == cokernel_invariants(extended, ring)
 
 

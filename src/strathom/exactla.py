@@ -383,38 +383,34 @@ def smith_invariant_factors(mat: SparseMat) -> list:
     return [1] * ones + core.smith()
 
 
+def rank_and_torsion(mat: SparseMat, ring: Ring):
+    """(rank, torsion) of a matrix over `ring`: over a field its rank and no
+    torsion; over Z the number of its invariant factors and those > 1."""
+    if ring.is_field:
+        return mat.rank(ring), ()
+    factors = smith_invariant_factors(mat)
+    return len(factors), tuple(d for d in factors if d > 1)
+
+
 def chain_homology(dims, boundaries, ring: Ring):
     """Invariants (rank, torsion) of H_n for n < len(dims) - 1.
 
     `boundaries[n]` maps C_n -> C_{n-1}, or is None for the zero map; the
     top degree is there only to supply the boundary into the one below.
-    Each boundary is reduced once: over a field for its rank, over Z for its
-    invariant factors, whose number is its rank and whose entries > 1 are
-    the torsion of the degree below."""
-    ranks, torsion = [], []
-    for b in boundaries:
-        if b is None:
-            ranks.append(0)
-            torsion.append(())
-        elif ring.is_field:
-            ranks.append(b.rank(ring))
-            torsion.append(())
-        else:
-            factors = smith_invariant_factors(b)
-            ranks.append(len(factors))
-            torsion.append(tuple(d for d in factors if d > 1))
+    Each boundary is reduced once, for its rank and the torsion it leaves
+    in the degree below."""
+    invariants = [(0, ()) if b is None else rank_and_torsion(b, ring)
+                  for b in boundaries]
     out = []
     for n in range(len(dims) - 1):
-        rank = dims[n] - ranks[n] - ranks[n + 1]
+        rank = dims[n] - invariants[n][0] - invariants[n + 1][0]
         if rank < 0:
             raise ArithmeticError("inconsistent ranks; input is not a complex")
-        out.append((rank, torsion[n + 1]))
+        out.append((rank, invariants[n + 1][1]))
     return out
 
 
 def cokernel_invariants(mat: SparseMat, ring: Ring):
     """(free rank, torsion) of coker(mat : R^cols -> R^rows)."""
-    if ring.is_field:
-        return mat.nrows - mat.rank(ring), ()
-    factors = smith_invariant_factors(mat)
-    return mat.nrows - len(factors), tuple(d for d in factors if d > 1)
+    rank, torsion = rank_and_torsion(mat, ring)
+    return mat.nrows - rank, torsion

@@ -23,8 +23,7 @@ from .manifold import GraphManifold
 
 # -- the entering-paths limit --------------------------------------------------
 
-def cart_facthom_disk(r: GraphManifold, y: SimplicialFinSet,
-                      check_segal: int = 0):
+def cart_facthom_disk(r: GraphManifold, y: SimplicialFinSet):
     """Cartesian factorization homology of a category object over a
     disk-stratified 1-manifold.
 
@@ -35,10 +34,6 @@ def cart_facthom_disk(r: GraphManifold, y: SimplicialFinSet,
     """
     if not r.is_disk_stratified:
         raise ValueError("cart_facthom_disk requires a disk-stratified manifold")
-    if check_segal:
-        for n in range(2, check_segal + 1):
-            if n <= y.depth and not y.is_segal(n):
-                raise ValueError(f"input fails the Segal condition at level {n}")
     s, t = y.source_map(), y.target_map()
     verts = sorted(r.vertices)
     edges = sorted(r.edges, key=lambda e: e.id)

@@ -143,14 +143,18 @@ class FinCategory:
         return None
 
     def power(self, m, r):
-        """r-fold composite of an endomorphism; None if the table runs out."""
+        """r-fold composite of an endomorphism, in O(log r) lookups; None if
+        the table runs out."""
         if self._src[m] != self._tgt[m]:
             raise ValueError(f"{m!r} is not an endomorphism")
         if r < 1:
             raise ValueError("power requires r >= 1")
+        # m^(2k) = m^k∘m^k and m^(2k+1) = m∘m^(2k), over r's binary digits
         out = m
-        for _ in range(r - 1):
-            out = self.compose_table.get((m, out))
+        for digit in bin(r)[3:]:
+            out = self.compose_table.get((out, out))
+            if out is not None and digit == "1":
+                out = self.compose_table.get((m, out))
             if out is None:
                 return None
         return out
@@ -310,15 +314,15 @@ def discrete_category(objects):
     return FinCategory(objects, homs, compose, units)
 
 
-def monoid_category(elements, mult, unit, obj="*"):
+def monoid_category(elements, mult, unit):
     """One-object category on a finite monoid; mult[(a, b)] = a·b.
 
     Composition is diagrammatic: compose(g, f) = g∘f := mult[(f, g)] reads
     "f then g".  For commutative monoids the distinction is invisible.
     """
-    homs = {(obj, obj): tuple(elements)}
     compose = {(g, f): h for (f, g), h in mult.items()}
-    return FinCategory((obj,), homs, compose, {obj: unit})
+    return FinCategory(("*",), {("*", "*"): tuple(elements)}, compose,
+                       {"*": unit})
 
 
 def walking_idempotent():
@@ -671,7 +675,7 @@ def free_act(vertex_set, m_max: int) -> FinCategory:
 
     Length-0 sequences are included as the identities, so the result is an
     honest category; composites that would exceed the bound are absent from
-    the table and recorded in the ``overflow`` attribute.
+    the table, so `compose` returns None for them.
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
@@ -684,20 +688,12 @@ def free_act(vertex_set, m_max: int) -> FinCategory:
             homs.setdefault((seq[0], seq[-1]), []).append(name)
             seq_of[name] = seq
     compose = {}
-    overflow = set()
     for f, fs in seq_of.items():
         for g, gs in seq_of.items():
-            if fs[-1] != gs[0]:
-                continue
-            combined = fs + gs[1:]
-            if len(combined) - 1 <= m_max:
-                compose[(g, f)] = _seq_name(combined)
-            else:
-                overflow.add((g, f))
+            if fs[-1] == gs[0] and len(fs) + len(gs) - 2 <= m_max:
+                compose[(g, f)] = _seq_name(fs + gs[1:])
     units = {v: _seq_name((v,)) for v in vs}
-    cat = FinCategory(vs, {k: tuple(v) for k, v in homs.items()}, compose, units)
-    cat.overflow = frozenset(overflow)
-    return cat
+    return FinCategory(vs, {k: tuple(v) for k, v in homs.items()}, compose, units)
 
 
 class Functor:

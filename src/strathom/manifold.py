@@ -107,10 +107,10 @@ def smooth_circle() -> GraphManifold:
     return GraphManifold((), (), circles=1)
 
 
-def cycle_graph(n: int, prefix: str = "") -> GraphManifold:
+def cycle_graph(n: int) -> GraphManifold:
     """The circle stratified by n >= 1 points."""
-    vs = [f"{prefix}v{i}" for i in range(n)]
-    es = [(f"{prefix}e{i}", vs[i], vs[(i + 1) % n]) for i in range(n)]
+    vs = [f"v{i}" for i in range(n)]
+    es = [(f"e{i}", vs[i], vs[(i + 1) % n]) for i in range(n)]
     return GraphManifold(vs, es)
 
 
@@ -474,54 +474,6 @@ class StratMorphism:
         if not self.creation_part.is_surjective():
             report.append("creation part is not surjective")
         return report
-
-    def to_json_dict(self):
-        def bundle(bm):
-            return {"total": bm.total.to_json_dict(),
-                    "base": bm.base.to_json_dict(),
-                    "vertex_map": dict(sorted(bm.vertex_map.items())),
-                    "edge_map": {e: list(t) for e, t in sorted(bm.edge_map.items())},
-                    "circle_map": {str(i): list(t)
-                                   for i, t in sorted(bm.circle_map.items())}}
-        ref = self.refinement_part
-        return {
-            "source": self.source.to_json_dict(),
-            "target": self.target.to_json_dict(),
-            "closed": bundle(self.closed_part),
-            "creation": bundle(self.creation_part),
-            "refinement": {
-                "fine": ref.fine.to_json_dict(),
-                "coarse": ref.coarse.to_json_dict(),
-                "vertex_image": dict(sorted(ref.vertex_image.items())),
-                "edge_fibers": {e: list(c)
-                                for e, c in sorted(ref.edge_fibers.items())},
-                "circle_fibers": {
-                    str(j): [f[0], list(f[1:]) if f[0] == "circle" else list(f[1])]
-                    for j, f in sorted(ref.circle_fibers.items())}},
-        }
-
-    @classmethod
-    def from_json_dict(cls, data):
-        def bundle(d):
-            return BundleMap(
-                GraphManifold.from_json_dict(d["total"]),
-                GraphManifold.from_json_dict(d["base"]),
-                d["vertex_map"],
-                {e: tuple(t) for e, t in d["edge_map"].items()},
-                {int(i): tuple(t) for i, t in d.get("circle_map", {}).items()})
-        rd = data["refinement"]
-        circle_fibers = {}
-        for j, (kind, payload) in rd.get("circle_fibers", {}).items():
-            if kind == "circle":
-                circle_fibers[int(j)] = ("circle", payload[0])
-            else:
-                circle_fibers[int(j)] = ("cycle", tuple(payload))
-        ref = RefinementDatum(GraphManifold.from_json_dict(rd["fine"]),
-                              GraphManifold.from_json_dict(rd["coarse"]),
-                              rd["vertex_image"],
-                              {e: tuple(c) for e, c in rd["edge_fibers"].items()},
-                              circle_fibers)
-        return cls(bundle(data["closed"]), bundle(data["creation"]), ref)
 
 
 def classify_morphism(m: StratMorphism) -> str:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import io
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import (HealthCheck, assume, example, given, settings,
                         strategies as st)
 
-from strathom.cli import main, render_table
+from strathom.cli import (_INPUTS, _cache_key, _input_fingerprint,
+                          build_parser, main, render_table)
 
 
 IDEM = {
@@ -166,6 +168,49 @@ def test_repeated_or_unknown_names_are_validation_failures(tmp_path, capsys,
     assert code == 1
     assert json.loads(out)["error"] == {"type": "validation",
                                         "report": [finding]}
+
+
+DUAL_NUMBERS = dict(Q_ALGEBRA, hom_dims={"*->*": ["1", "x"]},
+                    structure_constants={"*,*,*": {
+                        "1,1": {"1": "1"}, "1,x": {"x": "1"},
+                        "x,1": {"x": "1"}, "x,x": {}}})
+
+
+def _dual_numbers_with(pair, vec):
+    table = dict(DUAL_NUMBERS["structure_constants"]["*,*,*"], **{pair: vec})
+    return dict(DUAL_NUMBERS, structure_constants={"*,*,*": table})
+
+
+@pytest.mark.parametrize("verb", ["hh", "hc"])
+@pytest.mark.parametrize("data, finding", [
+    (dict(DUAL_NUMBERS, units={"*": {"1": "1", "z": "1"}}),
+     "unit at * names z, not in hom(*, *)"),
+    (_dual_numbers_with("x,x", {"y": "1"}),
+     "structure constant x,x at *,*,* names y, not in hom(*, *)"),
+    (_dual_numbers_with("x,w", {}),
+     "structure constant x,w at *,*,* is not a pair in hom(*, *) x hom(*, *)"),
+], ids=["unit", "vector", "pair"])
+def test_vector_naming_an_element_outside_its_hom_is_a_validation_failure(
+        tmp_path, capsys, verb, data, finding):
+    """The unit used to pass the unit laws, since products with z are absent
+    from the table, and then `hc` ended in a KeyError traceback; the
+    structure constant was reported as an associativity failure."""
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(data))
+    code, out = run(capsys, verb, "--algebra", str(path))
+    assert code == 1
+    assert json.loads(out)["error"] == {"type": "validation",
+                                        "report": [finding]}
+
+
+def test_a_large_repetition_degree_is_answered_at_once(inputs, capsys):
+    """`power` used to compose r - 1 times: 3.9 s at r = 10^7."""
+    start = time.perf_counter()
+    code, out = run(capsys, "tc0", "--category", inputs["idem"],
+                    "--degrees", f"2,{10 ** 15}")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert json.loads(out)["tc0"] == ["id", "phi"]
 
 
 @pytest.mark.parametrize("modulus, code, message", [
@@ -661,6 +706,54 @@ def test_malformed_json_text_never_tracebacks(tmp_path, monkeypatch, target,
     assert code in (0, 1, 2)
     assert isinstance(json.loads(out), dict)
     assert "Traceback" not in err
+
+
+def _other_value(action):
+    """A value for `action` other than its default."""
+    if action.nargs == 0:
+        return None
+    if action.choices:
+        return next(c for c in action.choices if c != action.default)
+    if action.type is int:
+        return str(action.default + 1)
+    return "5"
+
+
+def test_every_option_but_out_and_cache_reaches_the_cache_key(inputs,
+                                                              tmp_path):
+    """A cache hit must not return a result computed for other options, so
+    every parsed option changes the key, and only --out and --cache do
+    not."""
+    paths = {"algebra": inputs["q"], "category": inputs["idem"],
+             "manifold": inputs["s1"]}
+    verbs = next(a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices
+
+    def key(argv):
+        args = build_parser().parse_args(argv)
+        texts = {attr: Path(getattr(args, attr)).read_text()
+                 for attr in _INPUTS if hasattr(args, attr)}
+        return _cache_key(_input_fingerprint(args, texts))
+
+    changed = []
+    for verb, sub in verbs.items():
+        base = [verb]
+        for attr in _INPUTS:
+            if attr in {a.dest for a in sub._actions}:
+                base += [f"--{attr}", paths[attr]]
+        plain = key(base)
+        assert key(base + ["--out", "table"]) == plain
+        assert key(base + ["--cache", str(tmp_path)]) == plain
+        for action in sub._actions:
+            if (not action.option_strings or action.dest in _INPUTS
+                    or action.dest in ("help", "out", "cache")):
+                continue
+            value = _other_value(action)
+            extra = [action.option_strings[0]] + ([] if value is None
+                                                  else [value])
+            assert key(base + extra) != plain, (verb, extra)
+            changed.append((verb, extra[0]))
+    assert ("hc", "--negative") in changed and ("check", "--suite") in changed
 
 
 @settings(max_examples=40, deadline=None,

@@ -12,11 +12,10 @@ from strathom.enrich import (LinearCategory, algebra_from_table,
                              ground_ring_algebra, group_algebra,
                              matrix_algebra, nerve,
                              pointed_pushforward, product_algebra,
-                             sets_bijective, span_of_pointed_map,
-                             tensor_all_sets, tensor_all_modules,
+                             span_of_pointed_map, tensor_all_sets,
                              truncated_polynomial_algebra,
                              validate_linear_category,
-                             Module, Product, zero_algebra)
+                             Product, zero_algebra)
 from strathom.fincat import (poset_category, validate_category,
                              walking_idempotent)
 from strathom.manifold import FinSpan, compose_spans
@@ -93,19 +92,6 @@ def test_tensor_all_sets_empty_is_unit():
 def test_tensor_all_sets_sizes_multiply():
     out = tensor_all_sets([("a", "b"), ("x", "y", "z")])
     assert len(out) == 6
-
-
-def test_tensor_all_modules_dims_multiply():
-    m = tensor_all_modules(QQ, [Module(QQ, ("a", "b")), Module(QQ, ("x", "y"))])
-    assert m.dim == 4
-    empty = tensor_all_modules(QQ, [])
-    assert empty.dim == 1
-
-
-def test_sets_bijective_witness():
-    w = sets_bijective(("a", "b"), ("x", "y"))
-    assert w is not None and len(w) == 2
-    assert sets_bijective(("a",), ("x", "y")) is None
 
 
 # -- span pushforward ----------------------------------------------------------------

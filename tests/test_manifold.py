@@ -264,29 +264,6 @@ def test_manifold_json_round_trip():
     assert again.to_json_dict() == m.to_json_dict()
 
 
-def test_strat_morphism_json_round_trip():
-    closed = StratMorphism.from_closed(
-        BundleMap(d0(), standard_interval(2), {"v": "v1"}, {}))
-    creation = StratMorphism.from_creation(
-        BundleMap(d1(), d0(), {"v0": "v", "v1": "v"}, {"e": ("vertex", "v")}))
-    comp = compose_morphisms(closed, creation)
-    for mor in (closed, creation, comp, StratMorphism.identity(d1())):
-        data = mor.to_json_dict()
-        again = StratMorphism.from_json_dict(data)
-        assert again.to_json_dict() == data
-        assert morphisms_agree(again, mor)
-
-
-def test_strat_morphism_json_round_trip_with_circles():
-    ref = RefinementDatum(pointed_circle(), smooth_circle(), {}, {},
-                          {0: ("cycle", ("e",))})
-    mor = StratMorphism.from_refinement(ref)
-    data = mor.to_json_dict()
-    again = StratMorphism.from_json_dict(data)
-    assert again.to_json_dict() == data
-    assert classify_morphism(again) == "refinement"
-
-
 def test_circle_self_covers_compose_by_degree():
     def cover(r):
         return StratMorphism.from_creation(
