@@ -24,10 +24,9 @@ from .enrich import (LinearCategory, Module, corr_pushforward, group_algebra,
                      matrix_algebra, monoid_algebra, nerve, tensor_all_sets,
                      validate_linear_category)
 from .facthom import (ChainComplexBundle, LinearCyclicLevel, SetCyclicLevel,
-                      TraceClassTable, cart_facthom_disk, connes_B,
-                      cyclic_homology, enr_facthom_disk, facthom_set_pi0,
-                      hochschild_homology, negative_cyclic_homology,
-                      thh_set_pi0)
+                      TraceClassTable, cart_facthom_disk, cyclic_homology,
+                      enr_facthom_disk, facthom_set_pi0, hochschild_homology,
+                      negative_cyclic_homology, thh_set_pi0)
 from .cyclo import (configuration_census, fixed_classes, free_loop_census,
                     free_monoid_category, necklace_count, psi_r, tc0, trace0,
                     trace_of)

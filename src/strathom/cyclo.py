@@ -139,7 +139,8 @@ def group_category(elements, mult, unit) -> FinCategory:
 
 
 def conjugacy_classes(elements, mult, unit):
-    """Brute-force conjugacy classes and centralizer orders."""
+    """Brute-force conjugacy classes and centralizer orders: the oracle for
+    the trace classes (`thh_set_pi0`) of a one-object groupoid."""
     inverse = {}
     for a in elements:
         for b in elements:
@@ -222,8 +223,9 @@ def necklace_count(m: int, n: int) -> int:
 
 
 def burnside_necklace_count(m: int, n: int) -> int:
-    """Independent oracle: average the fixed-point counts of the rotations
-    by direct orbit counting (Burnside)."""
+    """Oracle for `necklace_count` and for the trace classes of a bounded
+    free monoid: average the fixed-point counts of the rotations by direct
+    orbit counting (Burnside)."""
     if n == 0:
         return 1
     return sum(m ** math.gcd(n, k) for k in range(n)) // n

@@ -174,7 +174,8 @@ def span_of_pointed_map(partial_map, left, right) -> FinSpan:
 def pointed_pushforward(partial_map, left, right, family):
     """Monodromy of the plain symmetric monoidal deloop along a pointed map:
     pull back along the defined locus, then multiply over fibers.  Written
-    independently of `corr_pushforward` so the two can be compared."""
+    independently of `corr_pushforward`: the oracle for it on the spans of
+    pointed maps."""
     out = {}
     for t in right:
         fiber = sorted((s for s in left if partial_map.get(s) == t), key=repr)

@@ -31,6 +31,9 @@ def cart_facthom_disk(r: GraphManifold, y: SimplicialFinSet):
     1-simplex to each edge and a 0-simplex to each vertex, compatibly with
     the incidence maps s = d_1 and t = d_0.  Elements come back as
     (vertex labels, edge labels) aligned with the sorted cell lists.
+
+    It reads only the levels of a simplicial set, never a hom set: the
+    oracle for `enr_facthom_disk`'s Set backend on a nerve.
     """
     if not r.is_disk_stratified:
         raise ValueError("cart_facthom_disk requires a disk-stratified manifold")
@@ -61,7 +64,8 @@ def enr_facthom_disk(r: GraphManifold, cat, groupoid_isos=()):
     labelings of the tensor over edges of hom(label(src), label(dst)).
 
     Set backend (a FinCategory): returns the finite set of (labeling,
-    edge-decoration) pairs.  Linear backend: returns the based Module.
+    edge-decoration) pairs, and is the oracle for `cart_facthom_disk` on the
+    nerve.  Linear backend: returns the based Module.
 
     With `groupoid_isos` -- designated invertible morphisms making the
     object set a genuine groupoid -- labelings related by transporting
@@ -80,116 +84,79 @@ def enr_facthom_disk(r: GraphManifold, cat, groupoid_isos=()):
         out += ((lam, decor) for decor in tensor_all_sets(
             [cat.hom(assign[e.src], assign[e.dst]) for e in edges]))
     out.sort()
-    if isinstance(cat, FinCategory):
-        return (_groupoid_quotient_set(cat, verts, edges, out, groupoid_isos)
-                if groupoid_isos else tuple(out))
-    module = Module(cat.ring, out)
     if not groupoid_isos:
-        return module
-    if not cat.ring.is_field:
+        return tuple(out) if isinstance(cat, FinCategory) else Module(cat.ring, out)
+    transports = _transports(cat, verts, edges, out, groupoid_isos)
+    if isinstance(cat, FinCategory):
+        uf = UnionFind(out)
+        for element, image in transports:
+            (moved,) = image  # a Set transport has a single term
+            uf.union(element, moved)
+        return tuple(block[0] for block in uf.classes())
+    ring = cat.ring
+    if not ring.is_field:
         raise NotImplementedError(
             "linear groupoid coinvariants are supported over fields only")
-    return _groupoid_coinvariants(cat, verts, edges, module, groupoid_isos)
-
-
-def _transport_element(cat, verts, edges, element, vi, alpha, alpha_inv):
-    lam, decor = element
-    v = verts[vi]
-    lam2 = lam[:vi] + (cat.tgt(alpha),) + lam[vi + 1:]
-    decor2 = list(decor)
-    for ei, e in enumerate(edges):
-        f = decor2[ei]
-        if e.src == v:
-            f = cat.compose(f, alpha_inv)
-        if e.dst == v:
-            f = cat.compose(alpha, f)
-        decor2[ei] = f
-    return (lam2, tuple(decor2))
-
-
-def _groupoid_quotient_set(cat, verts, edges, elements, isos):
-    inverses = {alpha: cat.inverse(alpha) for alpha in isos}
-    for alpha, alpha_inv in inverses.items():
-        if alpha_inv is None:
-            raise ValueError(
-                f"designated groupoid morphism {alpha!r} is not invertible")
-    uf = UnionFind(elements)
-    for element in elements:
-        lam, _ = element
-        for vi in range(len(verts)):
-            for alpha, alpha_inv in inverses.items():
-                if cat.src(alpha) != lam[vi]:
-                    continue
-                uf.union(element, _transport_element(
-                    cat, verts, edges, element, vi, alpha, alpha_inv))
-    return tuple(block[0] for block in uf.classes())
-
-
-def _groupoid_coinvariants(cat, verts, edges, module, isos):
-    """Coinvariants of the free module under basis transport: the cokernel
-    of the stacked maps T_alpha - 1.
-
-    Linear groupoid isomorphisms are given as triples (x, y, b) with b an
-    invertible basis element of hom(x, y); the inverse is recovered from the
-    structure constants.
-    """
-    ring = cat.ring
-
-    resolved = []
-    for (x, y, b) in isos:
-        inv = None
-        for w in cat.hom(y, x):
-            fwd = cat.compose_basis(x, y, x, b, w)
-            bwd = cat.compose_basis(y, x, y, w, b)
-            if (fwd == cat.unit_vector(x) and bwd == cat.unit_vector(y)):
-                inv = w
-                break
-        if inv is None:
-            raise ValueError(f"designated iso {b!r} of hom({x},{y}) "
-                             "is not invertible")
-        resolved.append((x, y, b, inv))
-
-    vindex = {v: i for i, v in enumerate(verts)}
-
-    def transport(element, vi, x, y, b, binv):
-        lam, decor = element
-        v = verts[vi]
-        lam2 = lam[:vi] + (y,) + lam[vi + 1:]
-        parts = []
-        for ei, e in enumerate(edges):
-            t0 = lam[vindex[e.dst]]
-            s1 = lam2[vindex[e.src]]
-            coeffs = {decor[ei]: 1}
-            if e.src == v:
-                # precompose with the inverse: hom(x, t0) -> hom(y, t0)
-                coeffs = cat.compose_vectors(y, x, t0, {binv: 1}, coeffs)
-            if e.dst == v:
-                # postcompose: hom(s1, x) -> hom(s1, y)
-                coeffs = cat.compose_vectors(s1, x, y, coeffs, {b: 1})
-            parts.append(coeffs)
-        out = {}
-        for combo in itertools.product(*(p.items() for p in parts)):
-            label = (lam2, tuple(g for g, _ in combo))
-            out[label] = out.get(label, 0) + math.prod(c for _, c in combo)
-        return out
-
+    # the coinvariants are the cokernel of the columns T_alpha - 1
+    index = {element: i for i, element in enumerate(out)}
     cols = []
-    index = module.index
-    for element in module.basis:
-        lam, _ = element
-        for vi in range(len(verts)):
-            for (x, y, b, binv) in resolved:
+    for element, image in transports:
+        col = {index[element]: -1}
+        for label, c in image.items():
+            col[index[label]] = col.get(index[label], 0) + c
+        cols.append(ring.reduce(col))
+    dim = len(out) - SparseMat.from_columns(len(out), cols).rank(ring)
+    return Module(ring, tuple(f"coinv{i}" for i in range(dim)))
+
+
+def _transports(cat, verts, edges, elements, isos):
+    """Each element with its transport along each designated isomorphism
+    that starts at one of its vertex labels, as (element, image vector).
+
+    The labelling changes at that vertex; an edge leaving it is precomposed
+    with the inverse and an edge entering it postcomposed with the
+    isomorphism.  Set isomorphisms are morphism names, inverted by
+    `FinCategory.inverse`, and an image has one term.  Linear ones are
+    triples (x, y, b), b a basis element of hom(x, y), inverted by a search
+    of hom(y, x)'s basis.
+    """
+    if isinstance(cat, FinCategory):
+        def compose(x, y, z, u, v):  # basis vectors of coefficient 1
+            return {cat.compose(j, i): 1 for i in u for j in v}
+        resolved = [(cat.src(a), cat.tgt(a), a, cat.inverse(a)) for a in isos]
+    else:
+        compose = cat.compose_vectors
+        resolved = [(x, y, b, next((
+            w for w in cat.hom(y, x)
+            if cat.compose_basis(x, y, x, b, w) == cat.unit_vector(x)
+            and cat.compose_basis(y, x, y, w, b) == cat.unit_vector(y)), None))
+            for x, y, b in isos]
+    for _, _, b, binv in resolved:
+        if binv is None:
+            raise ValueError(
+                f"designated groupoid morphism {b!r} is not invertible")
+    vindex = {v: i for i, v in enumerate(verts)}
+    for element in elements:
+        lam, decor = element
+        for vi, v in enumerate(verts):
+            for x, y, b, binv in resolved:
                 if lam[vi] != x:
                     continue
-                col = {index[element]: -1}
-                for label, c in transport(element, vi, x, y, b, binv).items():
-                    col[index[label]] = col.get(index[label], 0) + c
-                col = ring.reduce(col)
-                if col:
-                    cols.append(col)
-    mat = SparseMat.from_columns(module.dim, cols)
-    dim = module.dim - mat.rank(ring)
-    return Module(ring, tuple(f"coinv{i}" for i in range(dim)))
+                lam2 = lam[:vi] + (y,) + lam[vi + 1:]
+                parts = []
+                for e, g in zip(edges, decor):
+                    vec = {g: 1}
+                    if e.src == v:  # hom(x, t) -> hom(y, t)
+                        vec = compose(y, x, lam[vindex[e.dst]], {binv: 1}, vec)
+                    if e.dst == v:  # hom(s, x) -> hom(s, y)
+                        vec = compose(lam2[vindex[e.src]], x, y, vec, {b: 1})
+                    parts.append(vec)
+                image = {}
+                for combo in itertools.product(*(p.items() for p in parts)):
+                    label = (lam2, tuple(g for g, _ in combo))
+                    image[label] = image.get(label, 0) + math.prod(
+                        c for _, c in combo)
+                yield element, image
 
 
 def facthom_set_pi0(m: GraphManifold, cat: FinCategory):
@@ -491,11 +458,6 @@ class ChainComplexBundle:
             if not self._is_zero(self.connes_b[n + 1].mul(self.connes_b[n])):
                 report.append(f"B B != 0 at degree {n}")
         return report
-
-
-def connes_B(cat: LinearCategory, n: int) -> SparseMat:
-    """Connes' B : C_n -> C_(n+1) of the normalized `ChainComplexBundle`."""
-    return ChainComplexBundle(cat, n + 1).connes_b[n]
 
 
 class LinearCyclicLevel:

@@ -101,8 +101,6 @@ class FinCategory:
         self._tgt = {}
         for (s, t), ms in self.homs.items():
             for m in ms:
-                if m in self._src:
-                    raise ValueError(f"morphism name {m!r} reused")
                 self._src[m] = s
                 self._tgt[m] = t
 
@@ -211,6 +209,7 @@ def validate_category(cat: FinCategory):
     exactly when the table is associative; every triple it names fails.
     """
     report = [f"duplicate object {x}" for x in repeated_names(cat.objects)]
+    report += [f"duplicate morphism {m}" for m in repeated_names(cat.morphisms())]
     names = set()
     for (s, t), ms in cat.homs.items():
         if s not in cat.objects or t not in cat.objects:
@@ -396,17 +395,11 @@ class SetDiagram:
             u = self.shape.unit(x)
             if any(self.on_morphisms[u][a] != a for a in self.on_objects[x]):
                 report.append(f"unit at {x} is not the identity function")
-        for f in self.shape.morphisms():
-            for g in self.shape.morphisms():
-                if self.shape.tgt(f) != self.shape.src(g):
-                    continue
-                gf = self.shape.compose(g, f)
-                if gf is None:
-                    continue
-                for a in self.on_objects[self.shape.src(f)]:
-                    if self.on_morphisms[gf][a] != self.on_morphisms[g][self.on_morphisms[f][a]]:
-                        report.append(f"functoriality fails at ({g},{f}) on {a!r}")
-                        break
+        for (g, f), gf in self.shape.compose_table.items():
+            for a in self.on_objects[self.shape.src(f)]:
+                if self.on_morphisms[gf][a] != self.on_morphisms[g][self.on_morphisms[f][a]]:
+                    report.append(f"functoriality fails at ({g},{f}) on {a!r}")
+                    break
         return report
 
 
@@ -468,8 +461,8 @@ def _sort_key(value):
 
 
 def brute_force_colimit_size(diagram: SetDiagram) -> int:
-    """Independent oracle: saturate the generated relation by fixpoint
-    iteration over explicit pair sets (no union-find)."""
+    """Oracle for `colimit_of_sets`: saturate the generated relation by
+    fixpoint iteration over explicit pair sets (no union-find)."""
     tags = [(x, a) for x in diagram.shape.objects for a in diagram.value(x)]
     related = {t: {t} for t in tags}
     pairs = []
@@ -511,13 +504,10 @@ class FactorizationSystem:
             report.append("left class is missing isomorphisms")
         if not isos <= self.right:
             report.append("right class is missing isomorphisms")
-        for cls_name, cls in (("left", self.left), ("right", self.right)):
-            for f in cls:
-                for g in cls:
-                    if cat.tgt(f) == cat.src(g):
-                        gf = cat.compose(g, f)
-                        if gf is not None and gf not in cls:
-                            report.append(f"{cls_name} class not closed under ({g},{f})")
+        for (g, f), gf in cat.compose_table.items():
+            for cls_name, cls in (("left", self.left), ("right", self.right)):
+                if f in cls and g in cls and gf not in cls:
+                    report.append(f"{cls_name} class not closed under ({g},{f})")
         for f in cat.morphisms():
             if not factorizations(self, f):
                 report.append(f"no [left;right] factorization of {f}")
@@ -725,16 +715,10 @@ class Functor:
         for x in src.objects:
             if self.on_morphisms[src.unit(x)] != tgt.unit(self.on_objects[x]):
                 report.append(f"unit of {x} not preserved")
-        for f in src.morphisms():
-            for g in src.morphisms():
-                if src.tgt(f) != src.src(g):
-                    continue
-                gf = src.compose(g, f)
-                if gf is None:
-                    continue
-                if self.on_morphisms[gf] != tgt.compose(
-                        self.on_morphisms[g], self.on_morphisms[f]):
-                    report.append(f"composition not preserved at ({g},{f})")
+        for (g, f), gf in src.compose_table.items():
+            if self.on_morphisms[gf] != tgt.compose(
+                    self.on_morphisms[g], self.on_morphisms[f]):
+                report.append(f"composition not preserved at ({g},{f})")
         return report
 
 

@@ -71,6 +71,14 @@ class GraphManifold:
         es = [e for e in self.edges if e.id in set(edge_ids)]
         return GraphManifold(vs, es, 0)
 
+    def __eq__(self, other):
+        return (isinstance(other, GraphManifold)
+                and (self.vertices, self.edges, self.circles)
+                == (other.vertices, other.edges, other.circles))
+
+    def __hash__(self):
+        return hash((self.vertices, self.edges, self.circles))
+
     def __repr__(self):
         return (f"GraphManifold({len(self.vertices)}v, {len(self.edges)}e, "
                 f"{self.circles}o)")
@@ -246,7 +254,7 @@ class BundleMap:
 
     def compose(self, other: "BundleMap") -> "BundleMap":
         """self ∘ other where other : P -> N and self : N -> M."""
-        if other.base is not self.total and other.base.to_json_dict() != self.total.to_json_dict():
+        if other.base != self.total:
             raise ValueError("bundle maps not composable")
         vm = {v: self.vertex_map[other.vertex_map[v]] for v in other.total.vertices}
         em = {}
@@ -638,7 +646,7 @@ def _creation_past_refinement(ref: RefinementDatum, cre: BundleMap):
 
 def compose_morphisms(m1: StratMorphism, m2: StratMorphism) -> StratMorphism:
     """The composite m2 ∘ m1, renormalized to closed / creation / refinement."""
-    if m1.target.to_json_dict() != m2.source.to_json_dict():
+    if m1.target != m2.source:
         raise ValueError("morphism endpoints do not match")
     # step 1: move m2's closed part left past m1's refinement
     incl2, ref_mid = _closed_past_refinement(m1.refinement_part, m2.closed_part)
@@ -755,9 +763,9 @@ def morphisms_agree(m1: StratMorphism, m2: StratMorphism) -> bool:
     """Equality certificate: same endpoints, same class, and the same spans
     on 0- and 1-strata.  (Actives have no canonical normal form, so this is
     the strongest check short of exhaustive isotopy enumeration.)"""
-    if m1.source.to_json_dict() != m2.source.to_json_dict():
+    if m1.source != m2.source:
         return False
-    if m1.target.to_json_dict() != m2.target.to_json_dict():
+    if m1.target != m2.target:
         return False
     if classify_morphism(m1) != classify_morphism(m2):
         return False
@@ -883,31 +891,21 @@ def _chain_candidates(edges, is_loop: bool):
     coarse loop needs a closed cycle, which can be cut at any of its
     vertices, so every rotation is a candidate.
     """
-    if not edges:
-        return []
     srcs = {e.src: e for e in edges}
-    if len(srcs) != len(edges):
+    if not edges or len(srcs) != len(edges):
         return []
-    if not is_loop:
-        dsts = {e.dst for e in edges}
-        starts = [e for e in edges if e.src not in dsts]
-        if len(starts) != 1:
-            return []
-        chain = [starts[0]]
-        while len(chain) < len(edges):
-            nxt = srcs.get(chain[-1].dst)
-            if nxt is None or nxt in chain:
-                return []
-            chain.append(nxt)
-        return [tuple(chain)]
-    cands = []
-    for start in edges:
+
+    def walk(start):
         chain = [start]
         while len(chain) < len(edges):
             nxt = srcs.get(chain[-1].dst)
             if nxt is None or nxt in chain:
-                break
+                return None
             chain.append(nxt)
-        if len(chain) == len(edges) and chain[-1].dst == start.src:
-            cands.append(tuple(chain))
-    return cands
+        return tuple(chain)
+    if is_loop:
+        return [c for c in map(walk, edges) if c and c[-1].dst == c[0].src]
+    dsts = {e.dst for e in edges}
+    starts = [e for e in edges if e.src not in dsts]
+    chain = walk(starts[0]) if len(starts) == 1 else None
+    return [chain] if chain else []

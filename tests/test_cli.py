@@ -129,16 +129,15 @@ def test_validation_error_exit_code(tmp_path, capsys):
     assert any("missing composite" in r for r in data["error"]["report"])
 
 
-def test_repeated_morphism_name_is_a_schema_error(tmp_path, capsys):
-    """A hom list that repeats a name is rejected while the file is read,
-    before any validation report could be made."""
+def test_repeated_morphism_name_is_a_validation_failure(tmp_path, capsys):
+    """A hom list that repeats a name is well-formed JSON of the right types,
+    so it is reported by validation, like a repeated object."""
     p = tmp_path / "repeated.json"
     p.write_text(json.dumps(dict(IDEM, homs={"*->*": ["id", "phi", "id"]})))
     code, out = run(capsys, "thh-set", "--category", str(p))
-    assert code == 2
-    error = json.loads(out)["error"]
-    assert error["type"] == "schema"
-    assert error["message"] == f"{p}: morphism name 'id' reused"
+    assert code == 1
+    assert json.loads(out)["error"] == {"type": "validation",
+                                        "report": ["duplicate morphism id"]}
 
 
 D1 = {"vertices": ["a", "b"], "edges": [{"id": "e", "src": "a", "dst": "b"}],

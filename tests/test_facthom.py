@@ -12,7 +12,7 @@ from strathom.enrich import (ground_ring_algebra, group_algebra,
                              truncated_polynomial_algebra,
                              commutator_cokernel_invariants, zero_algebra)
 from strathom.facthom import (ChainComplexBundle, LinearCyclicLevel,
-                              SetCyclicLevel, cart_facthom_disk, connes_B,
+                              SetCyclicLevel, cart_facthom_disk,
                               cyclic_homology, enr_facthom_disk,
                               facthom_set_pi0, hochschild_homology,
                               negative_cyclic_homology, _total_complex,
@@ -335,7 +335,7 @@ def test_connes_b_degree_zero_against_identities():
     alg = ground_ring_algebra(QQ)
     cx = ChainComplexBundle(alg, 3)
     assert cx.validate() == []
-    b0 = connes_B(alg, 0)
+    b0 = cx.connes_b[0]
     # the normalized C_1 = k ⊗ k/k is zero
     assert b0.nrows == 0 and b0.ncols == 1
 

@@ -395,6 +395,38 @@ def test_factorizations_unique_up_to_iso_on_poset():
         assert factorization_unique_up_to_iso(fs, f)
 
 
+# -- composition faults caught by the validators ----------------------------------
+
+def _chain():
+    return poset_category(("0", "1", "2"), lambda a, b: a <= b)
+
+
+def test_diagram_breaking_one_composite_is_reported():
+    shape = _chain()
+    values = {"0": ("a",), "1": ("b", "b'"), "2": ("c", "c'")}
+    maps = {shape.unit(x): {v: v for v in vs} for x, vs in values.items()}
+    maps.update({"0<=1": {"a": "b"}, "1<=2": {"b": "c", "b'": "c'"},
+                 "0<=2": {"a": "c'"}})  # F(1<=2)∘F(0<=1) sends a to c
+    report = SetDiagram(shape, values, maps).validate()
+    assert report == ["functoriality fails at (1<=2,0<=1) on 'a'"]
+
+
+def test_functor_breaking_one_composite_is_reported():
+    # phi∘phi = phi in the walking idempotent, but 1 + 1 = 0 in Z/2
+    z2 = monoid_category(*cyclo.cyclic_group_table(2))
+    functor = Functor(walking_idempotent(), z2, {"*": "*"},
+                      {"id": "0", "phi": "1"})
+    assert functor.validate() == ["composition not preserved at (phi,phi)"]
+
+
+def test_class_not_closed_under_composition_is_reported():
+    cat = _chain()
+    units = frozenset(cat.unit(x) for x in cat.objects)
+    fs = FactorizationSystem(cat, units | {"0<=1", "1<=2"},
+                             frozenset(cat.morphisms()))
+    assert fs.validate() == ["left class not closed under (1<=2,0<=1)"]
+
+
 # -- codiscrete -------------------------------------------------------------------
 
 def test_codiscrete_empty_set():

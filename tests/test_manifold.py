@@ -1,5 +1,6 @@
 import pytest
 
+from strathom.checks import small_manifold_pool, subdivisions
 from strathom.indexing import standard_interval
 from strathom.manifold import (BundleMap, FinSpan, GraphManifold,
                                RefinementDatum, StratMorphism, all_bundle_maps,
@@ -230,14 +231,13 @@ def test_strata_functoriality_on_enumerated_pairs():
     for a in pool:
         for b in pool:
             for bm in all_bundle_maps(b, a):
-                if not bm.validate():
-                    morphs.append(StratMorphism.from_closed_creation(bm))
+                morphs.append(StratMorphism.from_closed_creation(bm))
             for ref in all_refinements(a, b):
                 morphs.append(StratMorphism.from_refinement(ref))
     pairs = 0
     for m1 in morphs:
         for m2 in morphs:
-            if m1.target.to_json_dict() != m2.source.to_json_dict():
+            if m1.target != m2.source:
                 continue
             pairs += 1
             comp = compose_morphisms(m1, m2)
@@ -245,6 +245,24 @@ def test_strata_functoriality_on_enumerated_pairs():
                 strata_span(comp),
                 compose_spans(strata_span(m1), strata_span(m2)))
     assert pairs > 50
+
+
+def test_all_bundle_maps_yields_only_valid_maps():
+    """The suites take every enumerated map as valid, unfiltered: over the
+    manifold pool, and from the one-point subdivisions of it."""
+    pool = [m for _, m in small_manifold_pool()]
+    totals = pool + [ref.fine for m in pool for ref in subdivisions(m, 1)]
+    maps = [bm for a in pool for b in totals for bm in all_bundle_maps(b, a)]
+    assert len(maps) == 4301
+    assert [bm for bm in maps if bm.validate()] == []
+
+
+def test_manifolds_are_equal_by_value():
+    assert d1() == d1() and hash(d1()) == hash(d1())
+    assert d1() != GraphManifold(("v0", "v1"), (("e", "v1", "v0"),))
+    assert d0() != GraphManifold(("v",), (), circles=1)
+    assert d0() != "D0"
+    assert len({d1(), d1(), d0()}) == 2
 
 
 def test_refinement_span_is_forwards_surjection():
