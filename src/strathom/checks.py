@@ -325,7 +325,6 @@ def suite_paracyclic() -> dict:
     """Integral-model identities for the paracyclic and cyclic categories."""
     rep = Report("paracyclic")
     rng = random.Random(11)
-    ops = {}
     def rand_op(m, n):
         v0 = rng.randrange(-4, 5)
         vals = sorted(rng.randrange(v0, v0 + n + 2) for _ in range(m))
@@ -498,32 +497,18 @@ def suite_factorization() -> dict:
         rep.check(len(matches) == 1,
                   f"{len(matches)} closed images admit an active completion")
     # creation-then-refinement composites classify as active
-    active_count = 0
-    for coarse in pool[:4]:
-        for ref in subdivisions(coarse, 1):
-            fine = ref.fine
-            for a in pool[:4]:
-                for bm in all_bundle_maps(fine, a):
-                    if not bm.is_surjective():
-                        continue
-                    cre = StratMorphism.from_creation(bm)
-                    refm = StratMorphism.from_refinement(ref)
-                    comp = compose_morphisms(cre, refm)
-                    rep.check(classify_morphism(comp) in
-                              ("active", "creation", "refinement",
-                               "isomorphism"),
-                              "creation then refinement is not active")
-                    active_count += 1
-                    if active_count >= 40:
-                        break
-                if active_count >= 40:
-                    break
-            if active_count >= 40:
-                break
-        if active_count >= 40:
-            break
-    rep.check(active_count >= 20,
-              f"only {active_count} creation-refinement composites tested")
+    composites = list(itertools.islice(
+        (compose_morphisms(StratMorphism.from_creation(bm),
+                           StratMorphism.from_refinement(ref))
+         for coarse in pool[:4] for ref in subdivisions(coarse, 1)
+         for a in pool[:4] for bm in all_bundle_maps(ref.fine, a)
+         if bm.is_surjective()), 40))
+    for comp in composites:
+        rep.check(classify_morphism(comp) in
+                  ("active", "creation", "refinement", "isomorphism"),
+                  "creation then refinement is not active")
+    rep.check(len(composites) >= 20,
+              f"only {len(composites)} creation-refinement composites tested")
     # free cocartesian lifts on B = [1] and [2]
     for n in (1, 2):
         B = fincat.poset_category(tuple(str(i) for i in range(n + 1)),

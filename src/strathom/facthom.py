@@ -211,12 +211,6 @@ class TraceClassTable:
     def classes(self):
         return self._classes
 
-    def members(self, rep):
-        for block in self._classes:
-            if block[0] == rep:
-                return block
-        raise KeyError(rep)
-
     def __len__(self):
         return len(self._classes)
 

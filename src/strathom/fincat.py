@@ -209,7 +209,11 @@ def validate_category(cat: FinCategory):
     exactly when the table is associative; every triple it names fails.
     """
     report = [f"duplicate object {x}" for x in repeated_names(cat.objects)]
-    report += [f"duplicate morphism {m}" for m in repeated_names(cat.morphisms())]
+    repeated = [f"duplicate morphism {m}" for m in repeated_names(cat.morphisms())]
+    if repeated:
+        # `_src`/`_tgt` keep one hom per name, so the table checks below
+        # would only report consequences of the repetition
+        return report + repeated
     names = set()
     for (s, t), ms in cat.homs.items():
         if s not in cat.objects or t not in cat.objects:
@@ -569,9 +573,6 @@ class SimplicialFinSet:
 
     def level(self, n):
         return self.levels[n]
-
-    def face(self, n, i):
-        return self.faces[(n, i)]
 
     def source_map(self):
         """s = d_1 : X_1 -> X_0."""

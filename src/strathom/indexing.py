@@ -271,9 +271,6 @@ class RefinementCategoryDescriptor:
             raise ValueError("a paracyclic factor has no terminal object")
         return self.manifold
 
-    def to_json_dict(self):
-        return {"factors": list(self.factors)}
-
 
 def disk_refinement_category(m: GraphManifold) -> RefinementCategoryDescriptor:
     bl, _ = blowup(m)

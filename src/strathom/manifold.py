@@ -512,93 +512,49 @@ def factor_closed_active(m: StratMorphism):
     return closed, active
 
 
-def _closed_past_refinement(ref: RefinementDatum, incl: BundleMap):
-    """Interchange: refinement r : B -> M followed by closed (phi : A ↪ M)
-    becomes closed (A' ↪ B) followed by refinement A' -> A, where A' is the
-    preimage of phi(A) under the subdivision."""
-    B, A = ref.fine, incl.total
-    sub_verts = set()
-    sub_edges = []
-    new_vi = {}
-    new_ef = {}
-    new_cf = {}
-    for a in A.vertices:
-        fv = ref.vertex_image[incl.vertex_map[a]]
-        sub_verts.add(fv)
-        new_vi[a] = fv
-    for ae in A.edges:
-        fid = incl.edge_map[ae.id][1]
-        chain = ref.edge_fibers[fid]
-        new_ef[ae.id] = chain
-        sub_edges.extend(chain)
-        for eid in chain:
-            e = B.edge(eid)
-            sub_verts.add(e.src)
-            sub_verts.add(e.dst)
-    n_circles = 0
-    for i in range(A.circles):
-        j = incl.circle_map[i][1]
-        fib = ref.circle_fibers[j]
-        if fib[0] == "circle":
-            new_cf[i] = ("circle", n_circles)
-            n_circles += 1
-        else:
-            new_cf[i] = fib
-            for eid in fib[1]:
-                e = B.edge(eid)
-                sub_edges.append(eid)
-                sub_verts.add(e.src)
-                sub_verts.add(e.dst)
-    aprime = GraphManifold(sorted(sub_verts),
-                           [B.edge(eid) for eid in sorted(set(sub_edges))],
-                           n_circles)
-    # fine circles of A' are exactly the unrefined covered circles, renumbered
-    circle_renum = {}
-    for i in range(A.circles):
-        j = incl.circle_map[i][1]
-        if ref.circle_fibers[j][0] == "circle":
-            circle_renum[ref.circle_fibers[j][1]] = len(circle_renum)
-    incl2 = BundleMap(aprime, B, {v: v for v in aprime.vertices},
-                      {e.id: ("edge", e.id) for e in aprime.edges},
-                      {new: ("circle", orig, 1)
-                       for orig, new in circle_renum.items()})
-    ref2 = RefinementDatum(aprime, A, new_vi, new_ef, new_cf)
-    return incl2, ref2
+def _pull_back_refinement(ref: RefinementDatum, phi: BundleMap):
+    """Interchange: refinement r : A' -> A followed by the closed-creation
+    morphism of a bundle map phi : B -> A becomes phi' : X -> A' followed by
+    refinement X -> B, where X is the pullback of the subdivision along phi.
 
+    Each cell of B is pulled back on its own, so phi may be any bundle map:
+    phi' is injective when phi is, and surjective when phi is.  The cells
+    it creates are named e@k, e#k, c{i}@k, c{i}#k, primed until no cell of
+    B or earlier new cell has the name.
+    """
+    Aprime, B = ref.fine, phi.total
+    used = set(B.vertices) | set(B.edge_ids())
 
-def _creation_past_refinement(ref: RefinementDatum, cre: BundleMap):
-    """Interchange: refinement r : A' -> A followed by creation (phi : B ->> A)
-    becomes creation (X ->> A') followed by refinement X -> B, where X is the
-    pullback subdivision of B."""
-    Aprime, A, B = ref.fine, ref.coarse, cre.total
-    x_verts = []
+    def fresh(name):
+        while name in used:
+            name += "'"
+        used.add(name)
+        return name
+
+    x_verts = list(B.vertices)
     x_edges = []
-    vm = {}
+    vm = {w: ref.vertex_image[phi.vertex_map[w]] for w in B.vertices}
     em = {}
     ef = {}
-    vert_name = {w: f"{w}" for w in B.vertices}
-    for w in B.vertices:
-        x_verts.append(vert_name[w])
-        vm[vert_name[w]] = ref.vertex_image[cre.vertex_map[w]]
     for e in B.edges:
-        tgt = cre.edge_map[e.id]
+        tgt = phi.edge_map[e.id]
         if tgt[0] == "vertex":
-            x_edges.append(Edge(e.id, vert_name[e.src], vert_name[e.dst]))
+            x_edges.append(e)
             em[e.id] = ("vertex", ref.vertex_image[tgt[1]])
             ef[e.id] = (e.id,)
         else:
             chain = ref.edge_fibers[tgt[1]]
-            prev = vert_name[e.src]
+            prev = e.src
             pieces = []
             for k, fid in enumerate(chain):
                 fine_edge = Aprime.edge(fid)
                 if k == len(chain) - 1:
-                    nxt = vert_name[e.dst]
+                    nxt = e.dst
                 else:
-                    nxt = f"{e.id}@{k}"
+                    nxt = fresh(f"{e.id}@{k}")
                     x_verts.append(nxt)
                     vm[nxt] = fine_edge.dst
-                name = f"{e.id}#{k}" if len(chain) > 1 else e.id
+                name = fresh(f"{e.id}#{k}") if len(chain) > 1 else e.id
                 x_edges.append(Edge(name, prev, nxt))
                 em[name] = ("edge", fid)
                 pieces.append(name)
@@ -607,12 +563,8 @@ def _creation_past_refinement(ref: RefinementDatum, cre: BundleMap):
     cm = {}
     cf = {}
     x_circles = 0
-    aprime_circle_of = {}
-    for j2, fib in ref.circle_fibers.items():
-        if fib[0] == "circle":
-            aprime_circle_of[j2] = fib[1]
     for i in range(B.circles):
-        tgt = cre.circle_map[i]
+        tgt = phi.circle_map[i]
         if tgt[0] == "vertex":
             cm[x_circles] = ("vertex", ref.vertex_image[tgt[1]])
             cf[i] = ("circle", x_circles)
@@ -628,8 +580,8 @@ def _creation_past_refinement(ref: RefinementDatum, cre: BundleMap):
             chain = fib[1]
             ring = []
             n = len(chain) * deg
-            names = [f"c{i}#{k}" for k in range(n)]
-            verts = [f"c{i}@{k}" for k in range(n)]
+            names = [fresh(f"c{i}#{k}") for k in range(n)]
+            verts = [fresh(f"c{i}@{k}") for k in range(n)]
             x_verts.extend(verts)
             for k in range(n):
                 fid = chain[k % len(chain)]
@@ -639,9 +591,9 @@ def _creation_past_refinement(ref: RefinementDatum, cre: BundleMap):
                 ring.append(names[k])
             cf[i] = ("cycle", tuple(ring))
     X = GraphManifold(x_verts, x_edges, x_circles)
-    cre2 = BundleMap(X, Aprime, vm, em, cm)
-    ref2 = RefinementDatum(X, B, {w: vert_name[w] for w in B.vertices}, ef, cf)
-    return cre2, ref2
+    phi2 = BundleMap(X, Aprime, vm, em, cm)
+    ref2 = RefinementDatum(X, B, {w: w for w in B.vertices}, ef, cf)
+    return phi2, ref2
 
 
 def compose_morphisms(m1: StratMorphism, m2: StratMorphism) -> StratMorphism:
@@ -649,14 +601,14 @@ def compose_morphisms(m1: StratMorphism, m2: StratMorphism) -> StratMorphism:
     if m1.target != m2.source:
         raise ValueError("morphism endpoints do not match")
     # step 1: move m2's closed part left past m1's refinement
-    incl2, ref_mid = _closed_past_refinement(m1.refinement_part, m2.closed_part)
+    incl2, ref_mid = _pull_back_refinement(m1.refinement_part, m2.closed_part)
     # step 2: closed-creation composite of m1.creation then incl2, refactored
     cc = m1.creation_part.compose(incl2)
     corestriction, incl_mid = cc.image_factorization()
     # step 3: merge with m1's closed part
     closed_total = m1.closed_part.compose(incl_mid)
     # step 4: move m2's creation past the middle refinement
-    cre2, ref2 = _creation_past_refinement(ref_mid, m2.creation_part)
+    cre2, ref2 = _pull_back_refinement(ref_mid, m2.creation_part)
     creation_total = corestriction.compose(cre2)
     refinement_total = m2.refinement_part.compose(ref2)
     return StratMorphism(closed_total, creation_total, refinement_total)
@@ -678,16 +630,6 @@ class FinSpan:
     def identity(cls, s) -> "FinSpan":
         s = tuple(s)
         return cls(s, s, s, {x: x for x in s}, {x: x for x in s})
-
-    def validate(self):
-        report = []
-        if set(self.to_left) != set(self.apex) or set(self.to_right) != set(self.apex):
-            report.append("leg domain mismatch")
-        if not set(self.to_left.values()) <= set(self.left):
-            report.append("left leg lands outside left set")
-        if not set(self.to_right.values()) <= set(self.right):
-            report.append("right leg lands outside right set")
-        return report
 
     def leg_multiset(self):
         return sorted((repr(self.to_left[u]), repr(self.to_right[u]))

@@ -140,6 +140,19 @@ def test_repeated_morphism_name_is_a_validation_failure(tmp_path, capsys):
                                         "report": ["duplicate morphism id"]}
 
 
+def test_name_repeated_across_homs_is_reported_once(tmp_path, capsys):
+    p = tmp_path / "repeated.json"
+    p.write_text(json.dumps({
+        "objects": ["x", "y"],
+        "homs": {"x->x": ["ix"], "y->y": ["iy"], "x->y": ["f"], "y->x": ["f"]},
+        "compose": {"ix*ix": "ix", "iy*iy": "iy", "f*ix": "f", "iy*f": "f"},
+        "units": {"x": "ix", "y": "iy"}}))
+    code, out = run(capsys, "thh-set", "--category", str(p))
+    assert code == 1
+    assert json.loads(out)["error"] == {"type": "validation",
+                                        "report": ["duplicate morphism f"]}
+
+
 D1 = {"vertices": ["a", "b"], "edges": [{"id": "e", "src": "a", "dst": "b"}],
       "circles": 0}
 

@@ -33,6 +33,17 @@ def test_missing_composite_is_reported_not_raised():
     assert any("missing composite (phi,phi)" in r for r in report)
 
 
+def test_name_repeated_across_homs_is_reported_once():
+    """f in hom(x, y) and in hom(y, x): the name keeps only one pair of
+    endpoints, so the repetition is the whole report."""
+    homs = {("x", "x"): ("ix",), ("y", "y"): ("iy",),
+            ("x", "y"): ("f",), ("y", "x"): ("f",)}
+    compose = {("ix", "ix"): "ix", ("iy", "iy"): "iy",
+               ("f", "ix"): "f", ("iy", "f"): "f"}
+    cat = FinCategory(("x", "y"), homs, compose, {"x": "ix", "y": "iy"})
+    assert validate_category(cat) == ["duplicate morphism f"]
+
+
 def test_chain_poset_validates_over_composable_pairs_only():
     # 3,240 morphisms: a pass over all ordered pairs would visit 10.5 M
     cat = poset_category(range(80), lambda a, b: a <= b)

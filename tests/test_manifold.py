@@ -290,3 +290,83 @@ def test_circle_self_covers_compose_by_degree():
     comp = compose_morphisms(cover(2), cover(3))
     assert classify_morphism(comp) == "creation"
     assert comp.creation_part.circle_map == {0: ("circle", 0, 6)}
+
+
+# -- the refinement pullback on circles --------------------------------------------
+
+def test_forgetting_the_basepoint_then_doubling_is_active():
+    forget = StratMorphism.from_refinement(RefinementDatum(
+        pointed_circle(), smooth_circle(), {}, {}, {0: ("cycle", ("e",))}))
+    double = StratMorphism.from_creation(BundleMap(
+        smooth_circle(), smooth_circle(), {}, {}, {0: ("circle", 0, 2)}))
+    comp = compose_morphisms(forget, double)
+    assert comp.validate() == []
+    assert classify_morphism(comp) == "active"
+    # the one-edge cycle pulls back along the double cover to a two-edge cycle
+    fine = comp.refinement_part.fine
+    assert fine == comp.creation_part.total
+    assert (len(fine.vertices), len(fine.edges), fine.circles) == (2, 2, 0)
+    assert sorted(comp.creation_part.edge_map.values()) == [("edge", "e")] * 2
+    assert comp.refinement_part.circle_fibers == {
+        0: ("cycle", tuple(e.id for e in fine.edges))}
+
+
+def test_circle_collapsed_onto_the_point_after_identity():
+    collapse = StratMorphism.from_creation(BundleMap(
+        smooth_circle(), d0(), {}, {}, {0: ("vertex", "v")}))
+    comp = compose_morphisms(StratMorphism.identity(d0()), collapse)
+    assert comp.validate() == []
+    assert classify_morphism(comp) == "creation"
+    assert comp.creation_part.total == smooth_circle()
+    assert comp.creation_part.circle_map == {0: ("vertex", "v")}
+    assert comp.refinement_part.circle_fibers == {0: ("circle", 0)}
+
+
+def test_closed_circle_inclusion_past_a_cycle_refinement():
+    coarse = disjoint_union(d1(), smooth_circle())
+    ref = RefinementDatum(disjoint_union(d1(), pointed_circle()), coarse,
+                          {"0.v0": "0.v0", "0.v1": "0.v1"},
+                          {"0.e": ("0.e",)}, {0: ("cycle", ("1.e",))})
+    incl = BundleMap(smooth_circle(), coarse, {}, {}, {0: ("circle", 0, 1)})
+    comp = compose_morphisms(StratMorphism.from_refinement(ref),
+                             StratMorphism.from_closed(incl))
+    assert comp.validate() == []
+    assert classify_morphism(comp) == "general"
+    # the closed part keeps only the loop over the circle, not the interval
+    assert comp.closed_part.total == GraphManifold(("1.v",),
+                                                   (("1.e", "1.v", "1.v"),))
+    fine = comp.refinement_part.fine
+    assert (len(fine.vertices), len(fine.edges), fine.circles) == (1, 1, 0)
+    assert comp.creation_part.edge_map == {fine.edges[0].id: ("edge", "1.e")}
+    assert comp.refinement_part.circle_fibers == {
+        0: ("cycle", (fine.edges[0].id,))}
+
+
+def test_pulled_back_cells_avoid_the_closed_parts_names():
+    # the closed part's vertex is named like the cell the pullback creates
+    ref = StratMorphism.from_refinement(RefinementDatum(
+        standard_interval(2), d1(), {"v0": "v0", "v1": "v2"},
+        {"e": ("e0", "e1")}))
+    a2 = GraphManifold(("e@0", "v1"), (("e", "e@0", "v1"),))
+    iso = StratMorphism.from_closed(BundleMap(
+        a2, d1(), {"e@0": "v0", "v1": "v1"}, {"e": ("edge", "e")}))
+    comp = compose_morphisms(ref, iso)
+    assert comp.validate() == []
+    assert classify_morphism(comp) == "refinement"
+    assert len(set(comp.refinement_part.fine.vertices)) == 3
+
+
+def test_pulled_back_cells_avoid_the_creation_parts_names():
+    # put a basepoint on the circle of D0 ⊔ S¹, then create from a vertex
+    # named like the basepoint the pullback creates
+    coarse = disjoint_union(d0(), smooth_circle())
+    ref = StratMorphism.from_refinement(RefinementDatum(
+        disjoint_union(d0(), pointed_circle()), coarse, {"0.v": "0.v"}, {},
+        {0: ("cycle", ("1.e",))}))
+    b = GraphManifold(("c0@0",), (), circles=1)
+    cre = StratMorphism.from_creation(BundleMap(
+        b, coarse, {"c0@0": "0.v"}, {}, {0: ("circle", 0, 1)}))
+    comp = compose_morphisms(ref, cre)
+    assert comp.validate() == []
+    assert classify_morphism(comp) == "refinement"
+    assert len(set(comp.refinement_part.fine.vertices)) == 2
