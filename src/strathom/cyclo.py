@@ -168,16 +168,15 @@ def free_loop_census(elements, mult, unit):
 
 # -- free monoids and configuration classes ----------------------------------------
 
-def free_monoid_category(letters, max_len: int) -> FinCategory:
-    """The one-object category of words up to a length bound over the given
-    alphabet, composed by concatenation (out-of-bound composites are absent
-    from the table).
+def free_monoid_category(m: int, max_len: int) -> FinCategory:
+    """The one-object category of words up to a length bound over the m
+    letters a, b, c, ..., composed by concatenation (out-of-bound composites
+    are absent from the table).
 
     Only the in-bound pairs are visited: words grouped by length, u of
     length lu against v of length at most max_len - lu.  The table holds
     sum over s <= max_len of (s + 1)·m^s entries for m letters."""
-    if isinstance(letters, int):
-        letters = tuple(chr(ord("a") + i) for i in range(letters))
+    letters = tuple(chr(ord("a") + i) for i in range(m))
     by_len = [[""]] + [["".join(w) for w in itertools.product(letters, repeat=n)]
                        for n in range(1, max_len + 1)]
     words = [w for level in by_len for w in level]

@@ -49,11 +49,6 @@ class UnionFind:
         self.parent = {x: x for x in items}
         self.size = {x: 1 for x in self.parent}
 
-    def add(self, x):
-        if x not in self.parent:
-            self.parent[x] = x
-            self.size[x] = 1
-
     def find(self, x):
         root = x
         while self.parent[root] != root:
@@ -91,10 +86,7 @@ class FinCategory:
 
     def __init__(self, objects, homs, compose, units):
         self.objects = tuple(objects)
-        self.homs = {}
-        for (s, t), ms in homs.items():
-            if ms:
-                self.homs[(s, t)] = tuple(ms)
+        self.homs = {key: tuple(ms) for key, ms in homs.items()}
         self.compose_table = dict(compose)
         self.units = dict(units)
         self._src = {}
@@ -414,10 +406,8 @@ def colimit_of_sets(diagram: SetDiagram):
     representatives -- each a (object, element) pair, the least tag of its
     block -- and cocone[x][a] is the class of element a of the set at x.
     """
-    uf = UnionFind()
-    for x in diagram.shape.objects:
-        for a in diagram.value(x):
-            uf.add((x, a))
+    uf = UnionFind((x, a) for x in diagram.shape.objects
+                   for a in diagram.value(x))
     for m in diagram.shape.morphisms():
         s, t = diagram.shape.src(m), diagram.shape.tgt(m)
         fm = diagram.map(m)

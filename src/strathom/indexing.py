@@ -12,14 +12,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .fincat import FactorizationSystem, FinCategory
 from .manifold import GraphManifold, blowup, d0
 
 
 # -- the simplex category ----------------------------------------------------
 
 @dataclass(frozen=True)
-class SimplexMap:
-    """A monotone map [m] -> [n], by its value tuple."""
+class _MonotoneMap:
+    """A monotone map from level m to level n, by its values on 0..m.
+    Each subclass adds a check and the `__call__` that `compose` reads;
+    equality is by class: no simplex map equals its paracyclic image."""
 
     m: int
     n: int
@@ -28,24 +31,30 @@ class SimplexMap:
     def __post_init__(self):
         if len(self.values) != self.m + 1:
             raise ValueError("value tuple has wrong length")
-        if any(v < 0 or v > self.n for v in self.values):
-            raise ValueError("values out of range")
         if any(a > b for a, b in zip(self.values, self.values[1:])):
             raise ValueError("map is not monotone")
-
-    def __call__(self, i):
-        return self.values[i]
 
     @classmethod
     def identity(cls, n):
         return cls(n, n, tuple(range(n + 1)))
 
-    def compose(self, other: "SimplexMap") -> "SimplexMap":
+    def compose(self, other):
         """self ∘ other, with other applied first."""
         if other.n != self.m:
             raise ValueError("levels do not match")
-        return SimplexMap(other.m, self.n,
-                          tuple(self.values[v] for v in other.values))
+        return type(self)(other.m, self.n, tuple(map(self, other.values)))
+
+
+class SimplexMap(_MonotoneMap):
+    """A monotone map [m] -> [n], by its value tuple."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        if any(v < 0 or v > self.n for v in self.values):
+            raise ValueError("values out of range")
+
+    def __call__(self, i):
+        return self.values[i]
 
     def is_active(self) -> bool:
         """Surjective on endpoints."""
@@ -89,7 +98,6 @@ def delta_category(max_level: int):
     """The simplex category truncated at [max_level], materialized as a
     finite category, together with its [active; closed] factorization
     system.  Returns (category, system, name lookup)."""
-    from .fincat import FactorizationSystem, FinCategory
     maps = {}
     homs = {}
     for m in range(max_level + 1):
@@ -116,19 +124,11 @@ def delta_category(max_level: int):
 
 # -- paracyclic operators -----------------------------------------------------
 
-@dataclass(frozen=True)
-class ParacyclicOp:
+class ParacyclicOp(_MonotoneMap):
     """An equivariant monotone map between paracyclic levels."""
 
-    m: int
-    n: int
-    values: tuple  # f(0), ..., f(m)
-
     def __post_init__(self):
-        if len(self.values) != self.m + 1:
-            raise ValueError("value tuple has wrong length")
-        if any(a > b for a, b in zip(self.values, self.values[1:])):
-            raise ValueError("map is not monotone")
+        super().__post_init__()
         if self.values[-1] > self.values[0] + self.n + 1:
             raise ValueError("map breaks equivariant monotonicity")
 
@@ -139,19 +139,8 @@ class ParacyclicOp:
         return self.values[j] + k * (self.n + 1)
 
     @classmethod
-    def identity(cls, n):
-        return cls(n, n, tuple(range(n + 1)))
-
-    @classmethod
     def from_simplex(cls, f: SimplexMap) -> "ParacyclicOp":
         return cls(f.m, f.n, f.values)
-
-    def compose(self, other: "ParacyclicOp") -> "ParacyclicOp":
-        """self ∘ other (other first)."""
-        if other.n != self.m:
-            raise ValueError("levels do not match")
-        return ParacyclicOp(other.m, self.n,
-                            tuple(self(v) for v in other.values))
 
     def shift(self, k) -> "ParacyclicOp":
         """Compose with the central element to the k-th power."""

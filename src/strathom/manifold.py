@@ -17,6 +17,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .fincat import UnionFind, check_json
+
 
 @dataclass(frozen=True)
 class Edge:
@@ -52,23 +54,19 @@ class GraphManifold:
     def graph_components(self):
         """Connected components of the graph part: list of (vertices, edges),
         each sorted.  Circles are not included."""
-        from .fincat import UnionFind
         uf = UnionFind(self.vertices)
         for e in self.edges:
             uf.union(e.src, e.dst)
-        blocks = {}
-        for v in self.vertices:
-            blocks.setdefault(uf.find(v), set()).add(v)
-        comps = []
-        for vs in blocks.values():
-            es = sorted(e.id for e in self.edges if e.src in vs)
-            comps.append((tuple(sorted(vs)), tuple(es)))
-        comps.sort()
-        return comps
+        edges = {}
+        for e in self.edges:
+            edges.setdefault(uf.find(e.src), []).append(e.id)
+        return [(vs, tuple(sorted(edges.get(uf.find(vs[0]), ()))))
+                for vs in uf.classes()]
 
     def subgraph(self, vertex_ids, edge_ids) -> "GraphManifold":
-        vs = [v for v in self.vertices if v in set(vertex_ids)]
-        es = [e for e in self.edges if e.id in set(edge_ids)]
+        vertex_ids, edge_ids = set(vertex_ids), set(edge_ids)
+        vs = [v for v in self.vertices if v in vertex_ids]
+        es = [e for e in self.edges if e.id in edge_ids]
         return GraphManifold(vs, es, 0)
 
     def __eq__(self, other):
@@ -91,7 +89,6 @@ class GraphManifold:
 
     @classmethod
     def from_json_dict(cls, data):
-        from .fincat import check_json
         edges = check_json(data.get("edges", []), [{str: str}], "edges")
         return cls(check_json(data["vertices"], [str], "vertices"),
                    [(e["id"], e["src"], e["dst"]) for e in edges],

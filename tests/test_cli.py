@@ -164,12 +164,17 @@ D1 = {"vertices": ["a", "b"], "edges": [{"id": "e", "src": "a", "dst": "b"}],
      "duplicate basis element 1 in hom(*, *)"),
     (dict(Q_ALGEBRA, hom_dims={"*->*": ["1"], "*->y": ["f"]}),
      "hom (*,y) references unknown object"),
-], ids=["set-object", "linear-object", "linear-basis", "linear-unknown-object"])
+    (dict(IDEM, homs={"*->*": ["id"], "*->ghost": []}, compose={"id*id": "id"}),
+     "hom (*,ghost) references unknown object"),
+], ids=["set-object", "linear-object", "linear-basis", "linear-unknown-object",
+        "set-empty-hom-unknown-object"])
 def test_repeated_or_unknown_names_are_validation_failures(tmp_path, capsys,
                                                            data, finding):
     """A repeated name used to be counted twice: `facthom` on the idempotent
     with its object listed twice gave cardinality 4 over d1, and `hh` of Q
-    with a repeated object or basis element gave HH_0 of rank 2."""
+    with a repeated object or basis element gave HH_0 of rank 2.  An empty
+    hom used to be dropped before validation, so its unknown object went
+    unreported and `facthom` exited 0."""
     path = tmp_path / "cat.json"
     path.write_text(json.dumps(data))
     mani = tmp_path / "d1.json"

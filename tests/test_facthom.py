@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from strathom.checks import mixed_algebras
+from strathom.checks import mixed_algebras, small_category_pool
 from strathom.exactla import QQ, RingFp, SparseMat, ZZ
 from strathom.enrich import (ground_ring_algebra, group_algebra,
                              matrix_algebra, nerve, product_algebra,
                              truncated_polynomial_algebra,
                              commutator_cokernel_invariants, zero_algebra)
 from strathom.facthom import (ChainComplexBundle, LinearCyclicLevel,
+                              _bar_elements,
                               SetCyclicLevel, cart_facthom_disk,
                               cyclic_homology, enr_facthom_disk,
                               facthom_set_pi0, hochschild_homology,
@@ -20,9 +21,10 @@ from strathom.facthom import (ChainComplexBundle, LinearCyclicLevel,
 from strathom.fincat import (discrete_category, monoid_category,
                              poset_category, walking_idempotent)
 from strathom.indexing import standard_interval
-from strathom.manifold import (GraphManifold, d0, disjoint_union,
-                               pointed_circle, smooth_circle)
-from strathom.cyclo import cyclic_group_table, symmetric_group_table
+from strathom.manifold import (GraphManifold, cycle_graph, d0,
+                               disjoint_union, pointed_circle, smooth_circle)
+from strathom.cyclo import (cyclic_group_table, group_category,
+                            quaternion_group_table, symmetric_group_table)
 
 
 POSET = poset_category(("0", "1"), lambda a, b: a <= b)
@@ -198,6 +200,28 @@ def test_linear_cyclic_bar_level_dims():
     assert ChainComplexBundle(z2, 2).dims == [2, 2, 2]
     z3 = group_algebra(QQ, *cyclic_group_table(3))
     assert ChainComplexBundle(z3, 6).dims[6] == 3 * 2 ** 6  # not 3^7 = 2,187
+
+
+# level n is disk evaluation over the circle with n + 1 marked points; the
+# vertices v0..vn sort by name in that order only while n + 1 <= 10
+BAR_CATEGORIES = small_category_pool() + [
+    ("S_3", group_category(*symmetric_group_table(3))),
+    ("Q_8", group_category(*quaternion_group_table()))]
+
+
+@pytest.mark.parametrize("n", range(4))
+@pytest.mark.parametrize("name, cat", BAR_CATEGORIES,
+                         ids=[name for name, _ in BAR_CATEGORIES])
+def test_set_bar_level_is_disk_evaluation_on_the_marked_circle(name, cat, n):
+    assert _bar_elements(cat, n) \
+        == list(enr_facthom_disk(cycle_graph(n + 1), cat))
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_linear_bar_level_is_disk_evaluation_on_the_marked_circle(n):
+    for name, alg, _ in mixed_algebras():
+        assert _bar_elements(alg, n) \
+            == list(enr_facthom_disk(cycle_graph(n + 1), alg).basis), name
 
 
 # -- Hochschild homology -----------------------------------------------------------------------

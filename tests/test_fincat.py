@@ -44,6 +44,17 @@ def test_name_repeated_across_homs_is_reported_once():
     assert validate_category(cat) == ["duplicate morphism f"]
 
 
+def test_empty_hom_on_an_unknown_object_is_reported():
+    """An empty hom is kept as given: validation sees its endpoints, and
+    the JSON form round-trips it."""
+    cat = FinCategory(("*",), {("*", "*"): ("id",), ("*", "ghost"): ()},
+                      {("id", "id"): "id"}, {"*": "id"})
+    assert validate_category(cat) == ["hom (*,ghost) references unknown object"]
+    data = cat.to_json_dict()
+    assert data["homs"] == {"*->*": ["id"], "*->ghost": []}
+    assert FinCategory.from_json_dict(data).to_json_dict() == data
+
+
 def test_chain_poset_validates_over_composable_pairs_only():
     # 3,240 morphisms: a pass over all ordered pairs would visit 10.5 M
     cat = poset_category(range(80), lambda a, b: a <= b)
