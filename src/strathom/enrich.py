@@ -13,6 +13,7 @@ import itertools
 import math
 from collections import Counter
 
+from . import manifold
 from .exactla import Ring, SparseMat, cokernel_invariants, ring_from_name
 from .fincat import (FinCategory, SimplicialFinSet, check_json,
                      repeated_names)
@@ -55,6 +56,9 @@ class Product:
         return f"Product({self.slots!r}, {self.factors!r})"
 
 
+EMPTY_PRODUCT = Product((), ())
+
+
 def corr_pushforward(span: FinSpan, family):
     """Push a family of finite sets through a span.
 
@@ -66,15 +70,18 @@ def corr_pushforward(span: FinSpan, family):
     Each value is a `Product` laid out over the fiber, sorted by `repr` so
     outputs are deterministic, with factor V_{phi(u)} at slot u.  Its
     elements are tuples of (apex element, value) pairs, built only when they
-    are read.  The fibers come from one pass over the apex.
+    are read.  The fibers and their images come from the span's
+    `right_fibers`, computed once per span; only the family is looked up
+    here.  Every empty fiber gives the one shared `EMPTY_PRODUCT`.
     """
-    fibers = {}
-    for u in span.apex:
-        fibers.setdefault(span.to_right[u], []).append(u)
+    layout = span.right_fibers
     out = {}
     for t in span.right:
-        fiber = sorted(fibers.get(t, ()), key=repr)
-        out[t] = Product(fiber, [family[span.to_left[u]] for u in fiber])
+        fiber = layout.get(t)
+        if fiber is None:
+            out[t] = EMPTY_PRODUCT
+        else:
+            out[t] = Product(fiber[0], map(family.__getitem__, fiber[1]))
     return out
 
 
@@ -92,8 +99,7 @@ def corr_pushforward_witness(a: FinSpan, b: FinSpan, family, inner=None):
     `corr_pushforward_index_check`: it regroups every element by hand, so it
     is slow, and the tests compare the two on a seeded subset of pairs.
     """
-    from .manifold import compose_spans
-    comp = compose_spans(a, b)
+    comp = manifold.compose_spans(a, b)
     step1 = corr_pushforward(a, family) if inner is None else inner
     step2 = corr_pushforward(b, step1)
     direct = corr_pushforward(comp, family)
@@ -143,13 +149,14 @@ def corr_pushforward_index_check(a: FinSpan, b: FinSpan, family, inner=None):
     agree at every slot.  `inner` may carry a precomputed pushforward of
     the family through `a`.
     """
-    from .manifold import compose_spans
-    comp = compose_spans(a, b)
+    comp = manifold.compose_spans(a, b)
     step1 = corr_pushforward(a, family) if inner is None else inner
     step2 = corr_pushforward(b, step1)
     direct = corr_pushforward(comp, family)
     for t in b.right:
         composite = direct[t]
+        if composite is EMPTY_PRODUCT and step2[t] is EMPTY_PRODUCT:
+            continue
         # each two-step slot (u, v) -> its value set
         two_step = {(u, v): values
                     for v, group in zip(step2[t].slots, step2[t].factors)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .fincat import UnionFind, check_json
 
@@ -614,19 +615,49 @@ def compose_morphisms(m1: StratMorphism, m2: StratMorphism) -> StratMorphism:
 # -- spans of finite sets -----------------------------------------------------
 
 class FinSpan:
-    """S <- U -> T, a morphism in the category of finite-set correspondences."""
+    """S <- U -> T, a morphism in the category of finite-set correspondences.
+
+    The legs are read-only, so the fiber layouts below, computed once on
+    first use, never go stale."""
 
     def __init__(self, left, apex, right, to_left, to_right):
         self.left = tuple(left)
         self.apex = tuple(apex)
         self.right = tuple(right)
-        self.to_left = dict(to_left)
-        self.to_right = dict(to_right)
+        self.to_left = MappingProxyType(dict(to_left))
+        self.to_right = MappingProxyType(dict(to_right))
+        self._right_fibers = self._left_fibers = None
 
     @classmethod
     def identity(cls, s) -> "FinSpan":
         s = tuple(s)
         return cls(s, s, s, {x: x for x in s}, {x: x for x in s})
+
+    @property
+    def right_fibers(self):
+        """t -> (fiber, images) for each t with a non-empty fiber: the apex
+        elements over t sorted by `repr`, and their images in S."""
+        if self._right_fibers is None:
+            groups = {}
+            for u in self.apex:
+                groups.setdefault(self.to_right[u], []).append(u)
+            layout = {}
+            for t, fiber in groups.items():
+                fiber.sort(key=repr)
+                layout[t] = (tuple(fiber),
+                             tuple(map(self.to_left.__getitem__, fiber)))
+            self._right_fibers = layout
+        return self._right_fibers
+
+    @property
+    def left_fibers(self):
+        """s -> the apex elements over s, in apex order."""
+        if self._left_fibers is None:
+            groups = {}
+            for u in self.apex:
+                groups.setdefault(self.to_left[u], []).append(u)
+            self._left_fibers = groups
+        return self._left_fibers
 
     def leg_multiset(self):
         return sorted((repr(self.to_left[u]), repr(self.to_right[u]))
@@ -637,14 +668,23 @@ class FinSpan:
 
 
 def compose_spans(a: FinSpan, b: FinSpan) -> FinSpan:
-    """Composite span a then b, apex the pullback over the shared middle set."""
-    if sorted(map(repr, a.right)) != sorted(map(repr, b.left)):
+    """Composite span a then b, apex the pullback over the shared middle set:
+    each u of a's apex pairs with b's left fiber over its image, so the apex
+    is ordered by u in a.apex order, then by v in b.apex order."""
+    if (a.right != b.left
+            and sorted(map(repr, a.right)) != sorted(map(repr, b.left))):
         raise ValueError("span endpoints do not match")
-    apex = [(u, v) for u in a.apex for v in b.apex
-            if a.to_right[u] == b.to_left[v]]
-    return FinSpan(a.left, apex, b.right,
-                   {(u, v): a.to_left[u] for (u, v) in apex},
-                   {(u, v): b.to_right[v] for (u, v) in apex})
+    over, b_right = b.left_fibers, b.to_right
+    a_left, a_right = a.to_left, a.to_right
+    apex, to_left, to_right = [], {}, {}
+    for u in a.apex:
+        s = a_left[u]
+        for v in over.get(a_right[u], ()):
+            uv = (u, v)
+            apex.append(uv)
+            to_left[uv] = s
+            to_right[uv] = b_right[v]
+    return FinSpan(a.left, apex, b.right, to_left, to_right)
 
 
 def spans_isomorphic(a: FinSpan, b: FinSpan) -> bool:

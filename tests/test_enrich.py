@@ -115,6 +115,30 @@ def test_empty_fiber_gives_unit():
     assert tuple(out["t"]) == ((),)
 
 
+def test_pushforward_slots_follow_repr_order_not_apex_order():
+    span = FinSpan(("s", "r"), ("b", "a", 10, 2), ("t", "x"),
+                   {"b": "s", "a": "r", 10: "s", 2: "r"},
+                   {"b": "t", "a": "t", 10: "t", 2: "t"})
+    out = corr_pushforward(span, {"s": ("p", "q"), "r": ("z",)})
+    assert out["t"].slots == ("a", "b", 10, 2)
+    assert out["t"].factors == (("z",), ("p", "q"), ("p", "q"), ("z",))
+    assert tuple(out["x"]) == ((),)
+
+
+def test_composite_slots_follow_repr_order_not_build_order():
+    # the composite is built u by u, (2, "v") first; its repr sorts last
+    a = FinSpan((0, 1), (2, 10), (0,), {2: 0, 10: 1}, {2: 0, 10: 0})
+    b = FinSpan((0,), ("v",), (0,), {"v": 0}, {"v": 0})
+    comp = compose_spans(a, b)
+    assert comp.apex == ((2, "v"), (10, "v"))
+    fam = {0: ("x",), 1: ("y", "z")}
+    out = corr_pushforward(comp, fam)
+    assert out[0].slots == ((10, "v"), (2, "v"))
+    assert out[0].factors == (("y", "z"), ("x",))
+    assert corr_pushforward(a, fam)[0].slots == (10, 2)
+    corr_pushforward_index_check(a, b, fam)
+
+
 def test_pushforward_layouts_read_as_their_tuples():
     """Each pushforward iterates as the tuples of an inline
     `itertools.product` over its fiber and has their number as its length,

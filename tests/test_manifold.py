@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from strathom.checks import small_manifold_pool, subdivisions
+from strathom.checks import corr_span_pairs, small_manifold_pool, subdivisions
 from strathom.indexing import standard_interval
 from strathom.manifold import (BundleMap, FinSpan, GraphManifold,
                                RefinementDatum, StratMorphism, all_bundle_maps,
@@ -223,6 +225,56 @@ def test_compose_spans_identity_and_pullback():
     empty1 = FinSpan(("1",), (), ("2",), {}, {})
     empty2 = FinSpan(("2",), (), ("3",), {}, {})
     assert compose_spans(empty1, empty2).apex == ()
+
+
+def test_span_legs_are_read_only():
+    span = FinSpan((0,), ("u",), (0, 1), {"u": 0}, {"u": 0})
+    with pytest.raises(TypeError):
+        span.to_right["u"] = 1
+    with pytest.raises(TypeError):
+        span.to_left["u"] = 1
+    assert span.right_fibers == {0: (("u",), (0,))}
+
+
+def test_compose_spans_rejects_mismatched_middle_sets():
+    a = FinSpan((0,), ("u",), (0, 1), {"u": 0}, {"u": 1})
+    b = FinSpan((0, 2), ("v",), (0,), {"v": 0}, {"v": 0})
+    with pytest.raises(ValueError, match="endpoints do not match"):
+        compose_spans(a, b)
+
+
+def test_compose_spans_accepts_a_permuted_middle_set():
+    a = FinSpan((0,), ("u", "w"), (0, 1), {"u": 0, "w": 0}, {"u": 0, "w": 1})
+    b = FinSpan((1, 0), ("p", "q", "r"), (0,),
+                {"p": 1, "q": 0, "r": 1}, {"p": 0, "q": 0, "r": 0})
+    comp = compose_spans(a, b)
+    assert comp.apex == (("u", "q"), ("w", "p"), ("w", "r"))
+    assert dict(comp.to_left) == {u: 0 for u in comp.apex}
+    assert dict(comp.to_right) == {u: 0 for u in comp.apex}
+
+
+def _pullback_oracle(a, b):
+    """The pullback as an inline double loop over both apexes: the oracle
+    for `compose_spans`, which pairs each u with b's left fiber over its
+    image."""
+    apex = [(u, v) for u in a.apex for v in b.apex
+            if a.to_right[u] == b.to_left[v]]
+    return (tuple(apex), {(u, v): a.to_left[u] for (u, v) in apex},
+            {(u, v): b.to_right[v] for (u, v) in apex})
+
+
+def test_compose_spans_matches_the_double_loop_oracle():
+    pairs = [(a, b) for a, out_of in corr_span_pairs() for b in out_of]
+    nonempty = 0
+    for a, b in random.Random(31).sample(pairs, 2000):
+        comp = compose_spans(a, b)
+        apex, to_left, to_right = _pullback_oracle(a, b)
+        assert comp.apex == apex
+        assert dict(comp.to_left) == to_left
+        assert dict(comp.to_right) == to_right
+        assert (comp.left, comp.right) == (a.left, b.right)
+        nonempty += bool(apex)
+    assert nonempty > 1000
 
 
 def test_strata_functoriality_on_enumerated_pairs():
