@@ -490,7 +490,7 @@ def suite_factorization() -> dict:
                     sub = source.subgraph(vsub, [e.id for e in esub])
                     incl = BundleMap(sub, source,
                                      {v: v for v in sub.vertices},
-                                     {e.id: ("edge", e.id) for e in sub.edges})
+                                     {e.id: e.id for e in sub.edges})
                     closed = StratMorphism.from_closed(incl)
                     if _exists_active_completion(closed, m):
                         matches.add((vsub, tuple(sorted(e.id for e in esub))))

@@ -154,9 +154,10 @@ class BundleMap:
     """A proper constructible bundle map phi : total -> base, combinatorially.
 
     Vertices map to vertices.  Each edge maps orientation-preservingly onto
-    an edge, or collapses to a vertex; each circle covers a circle with
-    positive degree or collapses to a vertex.  A morphism base -> total in
-    the ambient category is the reversed-cylinder of such a map.
+    a base edge, named by its id, or collapses (None) onto the vertex its
+    endpoints share; each circle covers a circle with positive degree or
+    collapses to a vertex.  A morphism base -> total in the ambient category
+    is the reversed-cylinder of such a map.
     """
 
     def __init__(self, total: GraphManifold, base: GraphManifold,
@@ -164,13 +165,13 @@ class BundleMap:
         self.total = total
         self.base = base
         self.vertex_map = dict(vertex_map)
-        self.edge_map = dict(edge_map)      # eid -> ("edge", fid) | ("vertex", v)
+        self.edge_map = dict(edge_map)      # eid -> base eid | None if collapsed
         self.circle_map = dict(circle_map or {})  # idx -> ("circle", j, deg) | ("vertex", v)
 
     @classmethod
     def identity(cls, m: GraphManifold) -> "BundleMap":
         return cls(m, m, {v: v for v in m.vertices},
-                   {e.id: ("edge", e.id) for e in m.edges},
+                   {e.id: e.id for e in m.edges},
                    {i: ("circle", i, 1) for i in range(m.circles)})
 
     def validate(self):
@@ -179,26 +180,20 @@ class BundleMap:
             if self.vertex_map.get(v) not in self.base.vertices:
                 report.append(f"vertex {v} has no valid image")
         for e in self.total.edges:
-            tgt = self.edge_map.get(e.id)
-            if tgt is None:
+            if e.id not in self.edge_map:
                 report.append(f"edge {e.id} has no image")
                 continue
-            kind, *rest = tgt
-            if kind == "edge":
-                f = self.base._edge_by_id.get(rest[0])
-                if f is None:
-                    report.append(f"edge {e.id} maps to unknown edge {rest[0]}")
-                elif (self.vertex_map.get(e.src) != f.src
-                      or self.vertex_map.get(e.dst) != f.dst):
-                    report.append(f"edge {e.id} breaks incidence/orientation")
-            elif kind == "vertex":
-                if rest[0] not in self.base.vertices:
-                    report.append(f"edge {e.id} collapses to unknown vertex")
-                elif (self.vertex_map.get(e.src) != rest[0]
-                      or self.vertex_map.get(e.dst) != rest[0]):
+            fid = self.edge_map[e.id]
+            if fid is None:
+                if self.vertex_map.get(e.src) != self.vertex_map.get(e.dst):
                     report.append(f"collapsed edge {e.id} has endpoints elsewhere")
-            else:
-                report.append(f"edge {e.id} has malformed image {tgt}")
+                continue
+            f = self.base._edge_by_id.get(fid)
+            if f is None:
+                report.append(f"edge {e.id} maps to unknown edge {fid}")
+            elif (self.vertex_map.get(e.src) != f.src
+                  or self.vertex_map.get(e.dst) != f.dst):
+                report.append(f"edge {e.id} breaks incidence/orientation")
         for i in range(self.total.circles):
             tgt = self.circle_map.get(i)
             if tgt is None:
@@ -218,12 +213,8 @@ class BundleMap:
         vm = list(self.vertex_map.values())
         if len(set(vm)) != len(vm):
             return False
-        eimgs = []
-        for tgt in self.edge_map.values():
-            if tgt[0] != "edge":
-                return False
-            eimgs.append(tgt[1])
-        if len(set(eimgs)) != len(eimgs):
+        eimgs = list(self.edge_map.values())
+        if None in eimgs or len(set(eimgs)) != len(eimgs):
             return False
         cimgs = []
         for tgt in self.circle_map.values():
@@ -238,8 +229,7 @@ class BundleMap:
         if verts != set(self.base.vertices):
             # collapsed edges land on vertices already hit by their endpoints
             return False
-        edges = {t[1] for t in self.edge_map.values() if t[0] == "edge"}
-        if edges != {e.id for e in self.base.edges}:
+        if set(self.edge_map.values()) - {None} != set(self.base.edge_ids()):
             return False
         circles = {t[1] for t in self.circle_map.values() if t[0] == "circle"}
         return circles == set(range(self.base.circles))
@@ -257,11 +247,8 @@ class BundleMap:
         vm = {v: self.vertex_map[other.vertex_map[v]] for v in other.total.vertices}
         em = {}
         for e in other.total.edges:
-            tgt = other.edge_map[e.id]
-            if tgt[0] == "vertex":
-                em[e.id] = ("vertex", self.vertex_map[tgt[1]])
-            else:
-                em[e.id] = self.edge_map[tgt[1]]
+            fid = other.edge_map[e.id]
+            em[e.id] = None if fid is None else self.edge_map[fid]
         cm = {}
         for i in range(other.total.circles):
             tgt = other.circle_map[i]
@@ -283,7 +270,7 @@ class BundleMap:
         """
         verts = sorted(set(self.vertex_map.values())
                        | {t[1] for t in self.circle_map.values() if t[0] == "vertex"})
-        edge_ids = sorted({t[1] for t in self.edge_map.values() if t[0] == "edge"})
+        edge_ids = sorted(set(self.edge_map.values()) - {None})
         covered_circles = sorted({t[1] for t in self.circle_map.values()
                                   if t[0] == "circle"})
         circle_index = {j: k for k, j in enumerate(covered_circles)}
@@ -291,7 +278,7 @@ class BundleMap:
                            [self.base.edge(eid) for eid in edge_ids],
                            len(covered_circles))
         incl = BundleMap(im, self.base, {v: v for v in verts},
-                         {eid: ("edge", eid) for eid in edge_ids},
+                         {eid: eid for eid in edge_ids},
                          {k: ("circle", j, 1) for j, k in circle_index.items()})
         cm = {}
         for i in range(self.total.circles):
@@ -332,6 +319,12 @@ class RefinementDatum:
 
     def validate(self):
         report = []
+
+        def fine_edges(chain):
+            try:
+                return [self.fine.edge(eid) for eid in chain]
+            except KeyError:
+                return None
         imgs = list(self.vertex_image.values())
         if len(set(imgs)) != len(imgs):
             report.append("vertex_image not injective")
@@ -347,9 +340,8 @@ class RefinementDatum:
                 report.append(f"coarse edge {f.id} has empty fiber")
                 continue
             used_edges.extend(chain)
-            try:
-                fes = [self.fine.edge(eid) for eid in chain]
-            except KeyError:
+            fes = fine_edges(chain)
+            if fes is None:
                 report.append(f"fiber of {f.id} has unknown edges")
                 continue
             if fes[0].src != self.vertex_image.get(f.src):
@@ -376,7 +368,10 @@ class RefinementDatum:
                     report.append(f"coarse circle {j} has empty cycle fiber")
                     continue
                 used_edges.extend(chain)
-                fes = [self.fine.edge(eid) for eid in chain]
+                fes = fine_edges(chain)
+                if fes is None:
+                    report.append(f"cycle fiber of circle {j} has unknown edges")
+                    continue
                 for a, b in zip(fes, fes[1:] + fes[:1]):
                     if a.dst != b.src:
                         report.append(f"cycle fiber of circle {j} breaks at {a.id}")
@@ -399,37 +394,17 @@ class RefinementDatum:
                 and all(len(c) == 1 for c in self.edge_fibers.values())
                 and all(f[0] == "circle" for f in self.circle_fibers.values()))
 
-    def coarse_cell_of_edge(self):
-        """fine edge id -> ("edge", coarse edge id) | ("circle", j)."""
-        out = {}
-        for fid, chain in self.edge_fibers.items():
-            for eid in chain:
-                out[eid] = ("edge", fid)
-        for j, fib in self.circle_fibers.items():
-            if fib[0] == "cycle":
-                for eid in fib[1]:
-                    out[eid] = ("circle", j)
-        return out
-
     def compose(self, finer: "RefinementDatum") -> "RefinementDatum":
         """Subdivide a subdivision: self : B -> M, finer : X -> B gives X -> M."""
         vi = {v: finer.vertex_image[self.vertex_image[v]]
               for v in self.coarse.vertices}
-        ef = {}
-        for fid, chain in self.edge_fibers.items():
-            out = []
-            for eid in chain:
-                out.extend(finer.edge_fibers[eid])
-            ef[fid] = tuple(out)
-        cf = {}
-        for j, fib in self.circle_fibers.items():
-            if fib[0] == "circle":
-                cf[j] = finer.circle_fibers[fib[1]]
-            else:
-                out = []
-                for eid in fib[1]:
-                    out.extend(finer.edge_fibers[eid])
-                cf[j] = ("cycle", tuple(out))
+
+        def refine(chain):
+            return tuple(x for eid in chain for x in finer.edge_fibers[eid])
+        ef = {fid: refine(chain) for fid, chain in self.edge_fibers.items()}
+        cf = {j: finer.circle_fibers[fib[1]] if fib[0] == "circle"
+              else ("cycle", refine(fib[1]))
+              for j, fib in self.circle_fibers.items()}
         return RefinementDatum(finer.fine, self.coarse, vi, ef, cf)
 
 
@@ -535,13 +510,13 @@ def _pull_back_refinement(ref: RefinementDatum, phi: BundleMap):
     em = {}
     ef = {}
     for e in B.edges:
-        tgt = phi.edge_map[e.id]
-        if tgt[0] == "vertex":
+        f = phi.edge_map[e.id]
+        if f is None:
             x_edges.append(e)
-            em[e.id] = ("vertex", ref.vertex_image[tgt[1]])
+            em[e.id] = None
             ef[e.id] = (e.id,)
         else:
-            chain = ref.edge_fibers[tgt[1]]
+            chain = ref.edge_fibers[f]
             prev = e.src
             pieces = []
             for k, fid in enumerate(chain):
@@ -554,7 +529,7 @@ def _pull_back_refinement(ref: RefinementDatum, phi: BundleMap):
                     vm[nxt] = fine_edge.dst
                 name = fresh(f"{e.id}#{k}") if len(chain) > 1 else e.id
                 x_edges.append(Edge(name, prev, nxt))
-                em[name] = ("edge", fid)
+                em[name] = fid
                 pieces.append(name)
                 prev = nxt
             ef[e.id] = tuple(pieces)
@@ -584,7 +559,7 @@ def _pull_back_refinement(ref: RefinementDatum, phi: BundleMap):
             for k in range(n):
                 fid = chain[k % len(chain)]
                 x_edges.append(Edge(names[k], verts[k], verts[(k + 1) % n]))
-                em[names[k]] = ("edge", fid)
+                em[names[k]] = fid
                 vm[verts[k]] = Aprime.edge(fid).src
                 ring.append(names[k])
             cf[i] = ("cycle", tuple(ring))
@@ -697,45 +672,36 @@ def spans_isomorphic(a: FinSpan, b: FinSpan) -> bool:
 
 # -- strata functor -----------------------------------------------------------
 
+def _leg(base_cells, total_cells, image) -> FinSpan:
+    """base cells <- the total cells with an image -> total cells, for a
+    contravariant cell map `image` that sends a cell to None when it has no
+    image among `base_cells`."""
+    apex = [c for c in total_cells if image[c] is not None]
+    return FinSpan(base_cells, apex, total_cells,
+                   {c: image[c] for c in apex}, {c: c for c in apex})
+
+
 def strata_span(m: StratMorphism) -> FinSpan:
     """1-strata of a morphism between disk-stratified manifolds, as a span."""
     if m.source.circles or m.target.circles:
         raise ValueError("strata_span requires disk-stratified source and target")
-    s_cls = FinSpan(m.source.edge_ids(), m.closed_part.total.edge_ids(),
-                    m.closed_part.total.edge_ids(),
-                    {e: m.closed_part.edge_map[e][1]
-                     for e in m.closed_part.total.edge_ids()},
-                    {e: e for e in m.closed_part.total.edge_ids()})
-    covered = [e for e in m.creation_part.total.edge_ids()
-               if m.creation_part.edge_map[e][0] == "edge"]
-    s_cre = FinSpan(m.creation_part.base.edge_ids(), covered,
-                    m.creation_part.total.edge_ids(),
-                    {e: m.creation_part.edge_map[e][1] for e in covered},
-                    {e: e for e in covered})
-    coarse_of = m.refinement_part.coarse_cell_of_edge()
-    fine_edges = m.refinement_part.fine.edge_ids()
-    s_ref = FinSpan(fine_edges, fine_edges, m.target.edge_ids(),
-                    {e: e for e in fine_edges},
-                    {e: coarse_of[e][1] for e in fine_edges})
-    return compose_spans(compose_spans(s_cls, s_cre), s_ref)
+    A, B = m.closed_part.total.edge_ids(), m.creation_part.total.edge_ids()
+    fine = m.refinement_part.fine.edge_ids()
+    s_ref = FinSpan(fine, fine, m.target.edge_ids(), {e: e for e in fine},
+                    {e: f for f, chain in m.refinement_part.edge_fibers.items()
+                     for e in chain})
+    return compose_spans(
+        compose_spans(_leg(m.source.edge_ids(), A, m.closed_part.edge_map),
+                      _leg(A, B, m.creation_part.edge_map)), s_ref)
 
 
 def vertex_span(m: StratMorphism) -> FinSpan:
     """0-strata analogue of `strata_span`, used to certify equality."""
-    A = m.closed_part.total
-    s_cls = FinSpan(m.source.vertices, A.vertices, A.vertices,
-                    dict(m.closed_part.vertex_map),
-                    {v: v for v in A.vertices})
-    B = m.creation_part.total
-    s_cre = FinSpan(A.vertices, B.vertices, B.vertices,
-                    dict(m.creation_part.vertex_map),
-                    {v: v for v in B.vertices})
-    coarse_verts = m.target.vertices
-    s_ref = FinSpan(B.vertices,
-                    coarse_verts, coarse_verts,
-                    {v: m.refinement_part.vertex_image[v] for v in coarse_verts},
-                    {v: v for v in coarse_verts})
-    return compose_spans(compose_spans(s_cls, s_cre), s_ref)
+    A, B = m.closed_part.total.vertices, m.creation_part.total.vertices
+    return compose_spans(
+        compose_spans(_leg(m.source.vertices, A, m.closed_part.vertex_map),
+                      _leg(A, B, m.creation_part.vertex_map)),
+        _leg(B, m.target.vertices, m.refinement_part.vertex_image))
 
 
 def morphisms_agree(m1: StratMorphism, m2: StratMorphism) -> bool:
@@ -769,7 +735,7 @@ def blowup(m: GraphManifold):
         es.append(Edge(e.id, s, t))
         vm[s] = e.src
         vm[t] = e.dst
-        em[e.id] = ("edge", e.id)
+        em[e.id] = e.id
     for v in m.isolated_vertices():
         vs.append(v)
         vm[v] = v
@@ -790,10 +756,10 @@ def all_bundle_maps(total: GraphManifold, base: GraphManifold):
         vm = dict(zip(total.vertices, vimages))
         per_edge = []
         for e in total.edges:
-            opts = [("edge", f.id) for f in base.edges
+            opts = [f.id for f in base.edges
                     if f.src == vm[e.src] and f.dst == vm[e.dst]]
             if vm[e.src] == vm[e.dst]:
-                opts.append(("vertex", vm[e.src]))
+                opts.append(None)
             if not opts:
                 per_edge = None
                 break
@@ -834,20 +800,11 @@ def all_refinements(fine: GraphManifold, coarse: GraphManifold):
         if per_edge is None:
             continue
         for combo in itertools.product(*(c for _, c in per_edge)):
-            chains = {}
-            vi = {}
-            ok = True
+            # chains that disagree on a coarse vertex's image fail validate()
+            chains, vi = {}, {}
             for (f, _), chain in zip(per_edge, combo):
                 chains[f.id] = tuple(e.id for e in chain)
-                for cv, fv in ((f.src, chain[0].src), (f.dst, chain[-1].dst)):
-                    if vi.get(cv, fv) != fv:
-                        ok = False
-                        break
-                    vi[cv] = fv
-                if not ok:
-                    break
-            if not ok:
-                continue
+                vi[f.src], vi[f.dst] = chain[0].src, chain[-1].dst
             # isolated coarse vertices may land on any leftover fine vertex
             missing = [v for v in coarse.vertices if v not in vi]
             interiors = {fine.edge(eid).dst

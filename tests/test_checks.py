@@ -6,13 +6,20 @@ import pytest
 from strathom.checks import SUITES, run_suite
 
 
+# Each suite's exact check count, so that an enumeration which silently
+# yields fewer morphisms fails here.
+CHECK_COUNTS = {"colimits": 155, "segal": 64, "delta": 3418,
+                "paracyclic": 249, "spans": 6087, "factorization": 288,
+                "facthom": 130, "mixed": 112, "trace": 441}
+
+
 # corr runs in test_acceptance.py::test_criterion_8_corr_monodromy, which
 # asserts the same and more
 @pytest.mark.parametrize("name", sorted(set(SUITES) - {"corr"}))
 def test_suite_passes(name):
     report = run_suite(name)
     assert report["failed"] == 0, report["failures"]
-    assert report["passed"] > 0
+    assert report["passed"] == CHECK_COUNTS[name]
 
 
 def test_registry_names_are_stable():

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -59,7 +60,7 @@ def test_blowup_keeps_edge_count_and_is_iso_on_one_strata():
         bl, mor = blowup(m)
         assert len(bl.edges) == len(m.edges)
         em = mor.creation_part.edge_map
-        assert all(em[e.id][0] == "edge" for e in bl.edges)
+        assert all(em[e.id] is not None for e in bl.edges)
         # disk-stratified blowups are unions of points and intervals only
         for verts, edges in bl.graph_components():
             assert len(edges) <= 1
@@ -78,7 +79,7 @@ def test_identity_classifies_as_isomorphism():
 
 def test_point_to_interval_creation():
     bm = BundleMap(d1(), d0(), {"v0": "v", "v1": "v"},
-                   {"e": ("vertex", "v")})
+                   {"e": None})
     mor = StratMorphism.from_creation(bm)
     assert mor.validate() == []
     assert classify_morphism(mor) == "creation"
@@ -108,7 +109,7 @@ def test_closed_then_creation_collapses_interval():
     closed = StratMorphism.from_closed(
         BundleMap(d0(), d1(), {"v": "v0"}, {}))
     creation = StratMorphism.from_creation(
-        BundleMap(d1(), d0(), {"v0": "v", "v1": "v"}, {"e": ("vertex", "v")}))
+        BundleMap(d1(), d0(), {"v0": "v", "v1": "v"}, {"e": None}))
     comp = compose_morphisms(closed, creation)
     assert comp.validate() == []
     assert classify_morphism(comp) == "closed-creation"
@@ -139,7 +140,7 @@ def test_composition_is_associative_on_sample():
     closed = StratMorphism.from_closed(
         BundleMap(d0(), d1(), {"v": "v0"}, {}))
     creation = StratMorphism.from_creation(
-        BundleMap(d1(), d0(), {"v0": "v", "v1": "v"}, {"e": ("vertex", "v")}))
+        BundleMap(d1(), d0(), {"v0": "v", "v1": "v"}, {"e": None}))
     ref = StratMorphism.from_refinement(
         RefinementDatum(d1(), d1(), {"v0": "v0", "v1": "v1"}, {"e": ("e",)}))
     lhs = compose_morphisms(compose_morphisms(closed, creation), ref)
@@ -152,7 +153,7 @@ def test_composition_is_associative_on_sample():
 def test_factor_point_into_circle():
     # the unique morphism D0 -> S1: creation D0 -> S1_* then forget the point
     creation = StratMorphism.from_creation(
-        BundleMap(pointed_circle(), d0(), {"v": "v"}, {"e": ("vertex", "v")}))
+        BundleMap(pointed_circle(), d0(), {"v": "v"}, {"e": None}))
     forget = StratMorphism.from_refinement(
         RefinementDatum(pointed_circle(), smooth_circle(), {}, {},
                         {0: ("cycle", ("e",))}))
@@ -174,7 +175,7 @@ def test_factor_middle_vertex_then_interval():
     closed = StratMorphism.from_closed(
         BundleMap(d0(), standard_interval(2), {"v": "v1"}, {}))
     creation = StratMorphism.from_creation(
-        BundleMap(d1(), d0(), {"v0": "v", "v1": "v"}, {"e": ("vertex", "v")}))
+        BundleMap(d1(), d0(), {"v0": "v", "v1": "v"}, {"e": None}))
     comp = compose_morphisms(closed, creation)
     c, a = factor_closed_active(comp)
     assert classify_morphism(c) == "closed"
@@ -194,7 +195,7 @@ def test_identity_refinement_gives_identity_span():
 def test_closed_inclusion_span_is_backwards_mono():
     # <2> -> <1>: contravariantly <1> includes as the first edge
     incl = BundleMap(d1(), standard_interval(2), {"v0": "v0", "v1": "v1"},
-                     {"e": ("edge", "e0")})
+                     {"e": "e0"})
     sp = strata_span(StratMorphism.from_closed(incl))
     assert sorted(sp.left) == ["e0", "e1"]
     assert len(sp.apex) == 1
@@ -203,7 +204,7 @@ def test_closed_inclusion_span_is_backwards_mono():
 
 
 def test_creation_span_edge_over_vertex():
-    bm = BundleMap(d1(), d0(), {"v0": "v", "v1": "v"}, {"e": ("vertex", "v")})
+    bm = BundleMap(d1(), d0(), {"v0": "v", "v1": "v"}, {"e": None})
     sp = strata_span(StratMorphism.from_creation(bm))
     assert sp.left == ()
     assert sp.apex == ()
@@ -358,7 +359,7 @@ def test_forgetting_the_basepoint_then_doubling_is_active():
     fine = comp.refinement_part.fine
     assert fine == comp.creation_part.total
     assert (len(fine.vertices), len(fine.edges), fine.circles) == (2, 2, 0)
-    assert sorted(comp.creation_part.edge_map.values()) == [("edge", "e")] * 2
+    assert sorted(comp.creation_part.edge_map.values()) == ["e"] * 2
     assert comp.refinement_part.circle_fibers == {
         0: ("cycle", tuple(e.id for e in fine.edges))}
 
@@ -389,7 +390,7 @@ def test_closed_circle_inclusion_past_a_cycle_refinement():
                                                    (("1.e", "1.v", "1.v"),))
     fine = comp.refinement_part.fine
     assert (len(fine.vertices), len(fine.edges), fine.circles) == (1, 1, 0)
-    assert comp.creation_part.edge_map == {fine.edges[0].id: ("edge", "1.e")}
+    assert comp.creation_part.edge_map == {fine.edges[0].id: "1.e"}
     assert comp.refinement_part.circle_fibers == {
         0: ("cycle", (fine.edges[0].id,))}
 
@@ -401,7 +402,7 @@ def test_pulled_back_cells_avoid_the_closed_parts_names():
         {"e": ("e0", "e1")}))
     a2 = GraphManifold(("e@0", "v1"), (("e", "e@0", "v1"),))
     iso = StratMorphism.from_closed(BundleMap(
-        a2, d1(), {"e@0": "v0", "v1": "v1"}, {"e": ("edge", "e")}))
+        a2, d1(), {"e@0": "v0", "v1": "v1"}, {"e": "e"}))
     comp = compose_morphisms(ref, iso)
     assert comp.validate() == []
     assert classify_morphism(comp) == "refinement"
@@ -422,3 +423,84 @@ def test_pulled_back_cells_avoid_the_creation_parts_names():
     assert comp.validate() == []
     assert classify_morphism(comp) == "refinement"
     assert len(set(comp.refinement_part.fine.vertices)) == 2
+
+
+# -- validators: each finding on a datum that has it --------------------------------
+
+_S1 = smooth_circle()
+_ID1 = {"v0": "v0", "v1": "v1"}
+_INVALID = [
+    (BundleMap(d0(), d1(), {"v": "ghost"}, {}),
+     "vertex v has no valid image"),
+    (BundleMap(d1(), d1(), _ID1, {}), "edge e has no image"),
+    (BundleMap(d1(), d1(), _ID1, {"e": None}),
+     "collapsed edge e has endpoints elsewhere"),
+    (BundleMap(d1(), d1(), _ID1, {"e": "f"}), "edge e maps to unknown edge f"),
+    (BundleMap(d1(), d1(), {"v0": "v1", "v1": "v0"}, {"e": "e"}),
+     "edge e breaks incidence/orientation"),
+    (BundleMap(_S1, _S1, {}, {}), "circle 0 has no image"),
+    (BundleMap(_S1, _S1, {}, {}, {0: ("circle", 0, 0)}),
+     "circle 0 has invalid cover datum ('circle', 0, 0)"),
+    (BundleMap(_S1, d0(), {}, {}, {0: ("vertex", "ghost")}),
+     "circle 0 collapses to unknown vertex"),
+    (BundleMap(_S1, _S1, {}, {}, {0: ("disk",)}),
+     "circle 0 has malformed image ('disk',)"),
+    (RefinementDatum(d0(), GraphManifold(("a", "b"), ()),
+                     {"a": "v", "b": "v"}, {}), "vertex_image not injective"),
+    (RefinementDatum(d0(), d0(), {}, {}), "vertex_image domain mismatch"),
+    (RefinementDatum(d0(), d0(), {"v": "ghost"}, {}),
+     "vertex_image lands outside fine vertices"),
+    (RefinementDatum(d1(), d1(), _ID1, {"e": ()}),
+     "coarse edge e has empty fiber"),
+    (RefinementDatum(d1(), d1(), _ID1, {"e": ("nope",)}),
+     "fiber of e has unknown edges"),
+    (RefinementDatum(standard_interval(2), d1(), {"v0": "v1", "v1": "v2"},
+                     {"e": ("e0", "e1")}),
+     "fiber of e does not start at src image"),
+    (RefinementDatum(standard_interval(2), d1(), _ID1, {"e": ("e0", "e1")}),
+     "fiber of e does not end at dst image"),
+    (RefinementDatum(disjoint_union(d1(), d1()), d1(),
+                     {"v0": "0.v0", "v1": "1.v1"}, {"e": ("0.e", "1.e")}),
+     "fiber of e is not a chain at 0.e|1.e"),
+    (RefinementDatum(_S1, _S1, {}, {}, {}), "coarse circle 0 has no fiber"),
+    (RefinementDatum(_S1, _S1, {}, {}, {0: ("circle", 1)}),
+     "coarse circle 0 has invalid fine circle"),
+    (RefinementDatum(pointed_circle(), _S1, {}, {}, {0: ("cycle", ())}),
+     "coarse circle 0 has empty cycle fiber"),
+    (RefinementDatum(pointed_circle(), _S1, {}, {}, {0: ("cycle", ("nope",))}),
+     "cycle fiber of circle 0 has unknown edges"),
+    (RefinementDatum(d1(), _S1, {}, {}, {0: ("cycle", ("e",))}),
+     "cycle fiber of circle 0 breaks at e"),
+    (RefinementDatum(_S1, _S1, {}, {}, {0: ("disk",)}),
+     "coarse circle 0 has malformed fiber ('disk',)"),
+    (RefinementDatum(standard_interval(2), d1(), {"v0": "v0", "v1": "v2"},
+                     {"e": ("e0",)}),
+     "edge fibers do not partition the fine edges"),
+    (RefinementDatum(GraphManifold(("v",), (), circles=1), d0(), {"v": "v"},
+                     {}), "circle fibers do not account for the fine circles"),
+    (RefinementDatum(standard_interval(2),
+                     GraphManifold(("a", "b", "c"), (("e", "a", "c"),)),
+                     {"a": "v0", "b": "v1", "c": "v2"}, {"e": ("e0", "e1")}),
+     "a coarse vertex image sits in a fiber interior"),
+    (RefinementDatum(GraphManifold(("a", "b"), ()), GraphManifold(("a",), ()),
+                     {"a": "a"}, {}), "fine vertices ['b'] unaccounted for"),
+    (StratMorphism.from_closed(BundleMap(d1(), d0(), {"v0": "v", "v1": "v"},
+                                         {"e": None})),
+     "closed part is not injective"),
+    (StratMorphism.from_creation(BundleMap(d0(), d1(), {"v": "v0"}, {})),
+     "creation part is not surjective"),
+]
+
+
+@pytest.mark.parametrize("datum, finding", _INVALID, ids=[
+    re.sub(r"\W+", "-", finding).strip("-") for _, finding in _INVALID])
+def test_validator_reports_its_finding(datum, finding):
+    assert finding in datum.validate()
+
+
+def test_unknown_edge_in_a_cycle_fiber_is_reported_not_raised():
+    ref = RefinementDatum(pointed_circle(), smooth_circle(), {}, {},
+                          {0: ("cycle", ("nope",))})
+    assert ref.validate() == ["cycle fiber of circle 0 has unknown edges",
+                              "edge fibers do not partition the fine edges",
+                              "fine vertices ['v'] unaccounted for"]
