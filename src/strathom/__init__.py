@@ -23,7 +23,7 @@ from .indexing import (CoverOperator, ParacyclicOp, RefinementCategoryDescriptor
 from .enrich import (LinearCategory, Module, corr_pushforward, group_algebra,
                      matrix_algebra, monoid_algebra, nerve, tensor_all_sets,
                      validate_linear_category)
-from .facthom import (ChainComplexBundle, LinearCyclicLevel, SetCyclicLevel,
+from .facthom import (ChainComplexBundle, LinearCyclicLevel, SetCyclicBar,
                       TraceClassTable, cart_facthom_disk, cyclic_homology,
                       enr_facthom_disk, facthom_set_pi0, hochschild_homology,
                       negative_cyclic_homology, thh_set_pi0)

@@ -737,8 +737,8 @@ def suite_trace() -> dict:
                            for k in range(len(word))}) == 1,
                       "rotations of a cyclic word lie in different classes")
         # rotation triviality at levels 0 and 1
-        lvl1 = facthom.SetCyclicLevel(cat, 1)
-        for (xs, gs), (xs2, gs2) in lvl1.cyclic.items():
+        bar = facthom.SetCyclicBar(cat, 1)
+        for (xs, gs), (xs2, gs2) in bar.cyclic[1].items():
             a = cat.compose(gs[1], gs[0])
             b = cat.compose(gs2[1], gs2[0])
             rep.check(table.class_of(a) == table.class_of(b),

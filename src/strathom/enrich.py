@@ -512,39 +512,25 @@ def nerve(cat: FinCategory, depth: int) -> SimplicialFinSet:
     if depth < 0:
         raise ValueError("depth must be >= 0")
     levels = [tuple((x,) for x in cat.objects)]
+    strings = [()]
     for n in range(1, depth + 1):
-        strings = []
+        strings = sorted(s + (m,) for s in strings for m in cat.morphisms()
+                         if n == 1 or cat.src(m) == cat.tgt(s[-1]))
+        levels.append(strings)
+
+    def face(n, i, s):
         if n == 1:
-            strings = [(m,) for m in cat.morphisms()]
-        else:
-            for prefix in levels[n - 1]:
-                last_tgt = cat.tgt(prefix[-1])
-                strings.extend(prefix + (m,) for m in cat.morphisms()
-                               if cat.src(m) == last_tgt)
-        levels.append(tuple(sorted(set(strings))))
-    faces = {}
-    degens = {}
-    for n in range(1, depth + 1):
-        for i in range(n + 1):
-            fm = {}
-            for s in levels[n]:
-                if n == 1:
-                    fm[s] = (cat.tgt(s[0]),) if i == 0 else (cat.src(s[0]),)
-                elif i == 0:
-                    fm[s] = s[1:]
-                elif i == n:
-                    fm[s] = s[:-1]
-                else:
-                    fm[s] = s[:i - 1] + (cat.compose(s[i], s[i - 1]),) + s[i + 1:]
-            faces[(n, i)] = fm
-    for n in range(0, depth):
-        for i in range(n + 1):
-            dm = {}
-            for s in levels[n]:
-                if n == 0:
-                    dm[s] = (cat.unit(s[0]),)
-                else:
-                    anchor = cat.src(s[0]) if i == 0 else cat.tgt(s[i - 1])
-                    dm[s] = s[:i] + (cat.unit(anchor),) + s[i:]
-            degens[(n, i)] = dm
-    return SimplicialFinSet(levels, faces, degens)
+            return (cat.tgt(s[0]),) if i == 0 else (cat.src(s[0]),)
+        if i == 0:
+            return s[1:]
+        if i == n:
+            return s[:-1]
+        return s[:i - 1] + (cat.compose(s[i], s[i - 1]),) + s[i + 1:]
+
+    def degeneracy(n, i, s):
+        if n == 0:
+            return (cat.unit(s[0]),)
+        anchor = cat.src(s[0]) if i == 0 else cat.tgt(s[i - 1])
+        return s[:i] + (cat.unit(anchor),) + s[i:]
+
+    return SimplicialFinSet(levels, face, degeneracy)

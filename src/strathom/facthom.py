@@ -258,27 +258,24 @@ def _set_face(cat, xs, gs, n, i):
             gs[:i] + (cat.compose(gs[i + 1], gs[i]),) + gs[i + 2:])
 
 
-class SetCyclicLevel:
-    """Level n of the cyclic bar construction in the Set backend: tuples of
-    objects (x_0..x_n) with g_i in hom(x_i, x_{i+1 cyc}), plus the structure
-    maps as explicit dicts."""
+def _set_degeneracy(cat, xs, gs, n, i):
+    """s_i inserts the unit of x_{i+1 cyc} after g_i."""
+    x = xs[(i + 1) % (n + 1)]
+    return (xs[:i + 2] + (x,) + xs[i + 2:],
+            gs[:i + 1] + (cat.unit(x),) + gs[i + 1:])
 
-    def __init__(self, cat: FinCategory, n: int):
-        self.n = n
-        self.elements = tuple(_bar_elements(cat, n))
-        self.faces = [{(xs, gs): _set_face(cat, xs, gs, n, i)
-                       for (xs, gs) in self.elements}
-                      for i in range(n + 1)] if n >= 1 else []
-        self.degens = []
-        for i in range(n + 1):
-            dm = {}
-            for (xs, gs) in self.elements:
-                idx = (i + 1) % (n + 1)
-                nx = xs[:i + 2] + (xs[idx],) + xs[i + 2:]
-                ng = gs[:i + 1] + (cat.unit(xs[idx]),) + gs[i + 1:]
-                dm[(xs, gs)] = (nx, ng)
-            self.degens.append(dm)
-        self.cyclic = {(xs, gs): _rotate(xs, gs) for (xs, gs) in self.elements}
+
+class SetCyclicBar(SimplicialFinSet):
+    """The cyclic bar construction in the Set backend, levels 0..depth:
+    level n is `_bar_elements(cat, n)`, pairs of objects (x_0..x_n) and
+    morphisms g_i in hom(x_i, x_{i+1 cyc}); d_i is `_set_face`, s_i is
+    `_set_degeneracy`, and `cyclic[n]` is the rotation of level n."""
+
+    def __init__(self, cat: FinCategory, depth: int):
+        super().__init__((_bar_elements(cat, n) for n in range(depth + 1)),
+                         lambda n, i, x: _set_face(cat, *x, n, i),
+                         lambda n, i, x: _set_degeneracy(cat, *x, n, i))
+        self.cyclic = [{x: _rotate(*x) for x in lv} for lv in self.levels]
 
 
 # The linear structure maps, as functions of the bases of the levels they

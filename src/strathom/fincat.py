@@ -206,59 +206,54 @@ def validate_category(cat: FinCategory):
         # `_src`/`_tgt` keep one hom per name, so the table checks below
         # would only report consequences of the repetition
         return report + repeated
-    names = set()
-    for (s, t), ms in cat.homs.items():
-        if s not in cat.objects or t not in cat.objects:
-            report.append(f"hom ({s},{t}) references unknown object")
-        names.update(ms)
+    report += [f"hom ({s},{t}) references unknown object" for s, t in cat.homs
+               if s not in cat.objects or t not in cat.objects]
     for x in cat.objects:
         u = cat.units.get(x)
         if u is None:
             report.append(f"missing unit for {x}")
-        elif u not in names or cat._src.get(u) != x or cat._tgt.get(u) != x:
+        elif u not in cat._src or cat._src[u] != x or cat._tgt[u] != x:
             report.append(f"unit {u} of {x} is not an endomorphism of {x}")
     for (g, f), h in cat.compose_table.items():
-        if f not in names or g not in names or h not in names:
+        if f not in cat._src or g not in cat._src or h not in cat._src:
             report.append(f"composite entry ({g},{f})->{h} has dangling identifier")
             continue
         if cat._tgt[f] != cat._src[g]:
             report.append(f"entry ({g},{f}) is not composable")
         elif cat._src[h] != cat._src[f] or cat._tgt[h] != cat._tgt[g]:
             report.append(f"composite {h} of ({g},{f}) has wrong endpoints")
-    # totality, over the composable pairs only
+    # totality, over the composable pairs only; morphisms are ids into `ms`
+    ms = list(cat.morphisms())
     out_of = {}
-    for g, x in cat._src.items():
-        out_of.setdefault(x, []).append(g)
-    for f in cat.morphisms():
-        for g in out_of.get(cat._tgt.get(f), ()):
-            if (g, f) not in cat.compose_table:
-                report.append(f"missing composite ({g},{f})")
+    for i, m in enumerate(ms):
+        out_of.setdefault(cat._src[m], []).append(i)
+    for f in ms:
+        for g in out_of.get(cat._tgt[f], ()):
+            if (ms[g], f) not in cat.compose_table:
+                report.append(f"missing composite ({ms[g]},{f})")
     if report:
         return report
     # unit laws and associativity only make sense on a total table
-    for f in cat.morphisms():
+    for f in ms:
         if cat.compose_table[(cat.units[cat._tgt[f]], f)] != f:
             report.append(f"left unit law fails at {f}")
         if cat.compose_table[(f, cat.units[cat._src[f]])] != f:
             report.append(f"right unit law fails at {f}")
     report.extend(f"associativity fails at ({h},{g},{f})"
-                  for h, g, f in _light_failures(cat))
+                  for h, g, f in _light_failures(cat, ms, out_of))
     return report
 
 
-def _light_failures(cat: FinCategory):
+def _light_failures(cat: FinCategory, ms, out_of):
     """Light's test on a total table: the triples (h, g, f), f a generator,
-    where (h∘g)∘f != h∘(g∘f).  Works on integer ids local to the call."""
-    ms = list(cat.morphisms())
+    where (h∘g)∘f != h∘(g∘f).  Works on the ids of `ms`, the morphisms in
+    `morphisms()` order; `out_of[x]` lists the ids with source x."""
     n = len(ms)
     ident = {m: i for i, m in enumerate(ms)}
     comp = {ident[g] * n + ident[f]: ident[h]
             for (g, f), h in cat.compose_table.items()}
     src = [cat._src[m] for m in ms]
     tgt = [cat._tgt[m] for m in ms]
-    out_of = {}
-    for i, x in enumerate(src):
-        out_of.setdefault(x, []).append(i)
     # Greedy generating set, in morphisms() order.  The reached set starts
     # at the units and is closed under f' -> f'∘g, g in G, incrementally:
     # a new generator meets the morphisms reached before it, and a newly
@@ -549,13 +544,17 @@ def factorization_unique_up_to_iso(fs: FactorizationSystem, f) -> bool:
 # -- truncated simplicial finite sets ---------------------------------------
 
 class SimplicialFinSet:
-    """A truncated simplicial finite set: levels 0..depth with face and
-    degeneracy maps given as explicit dicts."""
+    """A truncated simplicial finite set: levels 0..depth, with the face
+    and degeneracy maps tabulated from their formulas, `face(n, i, x)` = d_i x
+    for x in level n >= 1 and `degeneracy(n, i, x)` = s_i x for x in level
+    n < depth."""
 
-    def __init__(self, levels, faces, degens):
+    def __init__(self, levels, face, degeneracy):
         self.levels = [tuple(lv) for lv in levels]
-        self.faces = {k: dict(v) for k, v in faces.items()}      # (n, i): X_n -> X_{n-1}
-        self.degens = {k: dict(v) for k, v in degens.items()}    # (n, i): X_n -> X_{n+1}
+        self.faces = {(n, i): {x: face(n, i, x) for x in self.levels[n]}
+                      for n in range(1, self.depth + 1) for i in range(n + 1)}
+        self.degens = {(n, i): {x: degeneracy(n, i, x) for x in self.levels[n]}
+                       for n in range(self.depth) for i in range(n + 1)}
 
     @property
     def depth(self):
@@ -628,16 +627,10 @@ def codiscrete(vertex_set, depth: int) -> SimplicialFinSet:
     if depth < 0:
         raise ValueError("depth must be >= 0")
     vs = tuple(vertex_set)
-    levels = [tuple(itertools.product(vs, repeat=n + 1)) for n in range(depth + 1)]
-    faces = {}
-    degens = {}
-    for n in range(1, depth + 1):
-        for i in range(n + 1):
-            faces[(n, i)] = {x: x[:i] + x[i + 1:] for x in levels[n]}
-    for n in range(0, depth):
-        for i in range(n + 1):
-            degens[(n, i)] = {x: x[:i + 1] + (x[i],) + x[i + 1:] for x in levels[n]}
-    return SimplicialFinSet(levels, faces, degens)
+    return SimplicialFinSet(
+        (itertools.product(vs, repeat=n + 1) for n in range(depth + 1)),
+        lambda n, i, x: x[:i] + x[i + 1:],
+        lambda n, i, x: x[:i + 1] + (x[i],) + x[i + 1:])
 
 
 # -- free constructions ------------------------------------------------------

@@ -454,6 +454,11 @@ class StratMorphism:
             report.append("closed part is not injective")
         if not self.creation_part.is_surjective():
             report.append("creation part is not surjective")
+        if self.closed_part.total != self.creation_part.base:
+            report.append("closed part's total is not the creation part's base")
+        if self.creation_part.total != self.refinement_part.fine:
+            report.append(
+                "creation part's total is not the refinement's fine manifold")
         return report
 
 

@@ -11,7 +11,7 @@ from strathom.cyclo import (burnside_necklace_count, configuration_census,
                             quaternion_group_table, symmetric_group_table,
                             tc0, trace0, trace_classes_by_length,
                             trace_lands_in_tc0)
-from strathom.facthom import SetCyclicLevel, thh_set_pi0
+from strathom.facthom import SetCyclicBar, thh_set_pi0
 from strathom.fincat import discrete_category, walking_idempotent
 
 
@@ -217,9 +217,9 @@ def test_free_monoid_table_is_the_brute_force_pair_filter(m, bound):
 def test_rotation_acts_trivially_on_classes():
     for cat in (IDEM, BZ4):
         table = thh_set_pi0(cat)
-        lvl = SetCyclicLevel(cat, 1)
-        for (xs, gs) in lvl.elements:
-            rot = lvl.cyclic[(xs, gs)]
+        bar = SetCyclicBar(cat, 1)
+        for (xs, gs) in bar.level(1):
+            rot = bar.cyclic[1][(xs, gs)]
             a = cat.compose(gs[1], gs[0])
             b = cat.compose(rot[1][1], rot[1][0])
             assert table.class_of(a) == table.class_of(b)

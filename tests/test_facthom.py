@@ -13,7 +13,7 @@ from strathom.enrich import (ground_ring_algebra, group_algebra,
                              commutator_cokernel_invariants, zero_algebra)
 from strathom.facthom import (ChainComplexBundle, LinearCyclicLevel,
                               _bar_elements,
-                              SetCyclicLevel, cart_facthom_disk,
+                              SetCyclicBar, cart_facthom_disk,
                               cyclic_homology, enr_facthom_disk,
                               facthom_set_pi0, hochschild_homology,
                               negative_cyclic_homology, _total_complex,
@@ -59,7 +59,8 @@ def test_segal_check_rejects_non_segal_input():
              (2, 0): {}, (2, 1): {}, (2, 2): {}}
     degens = {(0, 0): {"a": "f"}, (1, 0): {"f": (), "g": ()},
               (1, 1): {"f": (), "g": ()}}
-    y = SimplicialFinSet(levels, faces, degens)
+    y = SimplicialFinSet(levels, lambda n, i, x: faces[(n, i)][x],
+                         lambda n, i, x: degens[(n, i)][x])
     assert not y.is_segal(2)
 
 
@@ -158,34 +159,22 @@ def test_trace_table_json_shape():
 # -- cyclic bar levels --------------------------------------------------------------------------
 
 def test_set_cyclic_bar_level_sizes():
-    lvl = SetCyclicLevel(walking_idempotent(), 1)
-    assert len(lvl.elements) == 4
-    lvl0 = SetCyclicLevel(walking_idempotent(), 0)
-    assert len(lvl0.elements) == 2
-    assert all(lvl0.cyclic[e] == e for e in lvl0.elements)
+    bar = SetCyclicBar(walking_idempotent(), 1)
+    assert len(bar.level(1)) == 4
+    assert len(bar.level(0)) == 2
+    assert all(bar.cyclic[0][e] == e for e in bar.level(0))
 
 
 def test_set_cyclic_bar_simplicial_and_cyclic_identities():
-    cat = monoid_category(*cyclic_group_table(2))
-    lv1 = SetCyclicLevel(cat, 1)
-    lv2 = SetCyclicLevel(cat, 2)
-    # d_i d_j = d_{j-1} d_i for i < j, from level 2 to level 0
-    for x in lv2.elements:
-        for j in range(3):
-            for i in range(j):
-                assert lv1.faces[i][lv2.faces[j][x]] \
-                    == lv1.faces[j - 1][lv2.faces[i][x]]
+    bar = SetCyclicBar(monoid_category(*cyclic_group_table(2)), 2)
+    # d_i d_j = d_{j-1} d_i for i < j, and d_i s_i = d_{i+1} s_i = id
+    assert bar.validate_identities() == []
     # rotation has order n+1 on level n
-    for x in lv2.elements:
+    for x in bar.level(2):
         y = x
         for _ in range(3):
-            y = lv2.cyclic[y]
+            y = bar.cyclic[2][y]
         assert y == x
-    # degeneracies insert units: d_i s_i = id
-    for x in lv1.elements:
-        for i in range(2):
-            assert lv2.faces[i][lv1.degens[i][x]] == x
-            assert lv2.faces[i + 1][lv1.degens[i][x]] == x
 
 
 def test_linear_cyclic_bar_level_dims():
@@ -203,10 +192,38 @@ def test_linear_cyclic_bar_level_dims():
 
 
 # level n is disk evaluation over the circle with n + 1 marked points; the
-# vertices v0..vn sort by name in that order only while n + 1 <= 10
+# vertices v0..vn sort by name in that order only while n + 1 <= 10.  In
+# the pool a cyclic string stays at one object; in the codiscrete groupoid
+# on two objects it can pass through both.
 BAR_CATEGORIES = small_category_pool() + [
     ("S_3", group_category(*symmetric_group_table(3))),
-    ("Q_8", group_category(*quaternion_group_table()))]
+    ("Q_8", group_category(*quaternion_group_table())),
+    ("pair01", poset_category(("0", "1"), lambda a, b: True))]
+
+
+@pytest.mark.parametrize("name, cat", BAR_CATEGORIES,
+                         ids=[name for name, _ in BAR_CATEGORIES])
+def test_set_cyclic_bar_is_a_cyclic_set(name, cat):
+    # Loday, *Cyclic Homology*, §6.1, with t the rotation of level n
+    bar = SetCyclicBar(cat, 3)
+    assert bar.validate_identities() == []
+    d, s, t = bar.faces, bar.degens, bar.cyclic
+    for n in range(1, 4):
+        for x in bar.level(n):
+            for i in range(1, n + 1):
+                assert d[(n, i)][t[n][x]] == t[n - 1][d[(n, i - 1)][x]]
+            assert d[(n, 0)][t[n][x]] == d[(n, n)][x]
+    for n in range(3):
+        for x in bar.level(n):
+            for i in range(1, n + 1):
+                assert s[(n, i)][t[n][x]] == t[n + 1][s[(n, i - 1)][x]]
+            assert s[(n, 0)][t[n][x]] == t[n + 1][t[n + 1][s[(n, n)][x]]]
+    for n in range(4):
+        for x in bar.level(n):
+            y = x
+            for _ in range(n + 1):
+                y = t[n][y]
+            assert y == x
 
 
 @pytest.mark.parametrize("n", range(4))

@@ -489,6 +489,12 @@ _INVALID = [
      "closed part is not injective"),
     (StratMorphism.from_creation(BundleMap(d0(), d1(), {"v": "v0"}, {})),
      "creation part is not surjective"),
+    (StratMorphism(BundleMap.identity(d1()), BundleMap.identity(d0()),
+                   RefinementDatum.identity(d0())),
+     "closed part's total is not the creation part's base"),
+    (StratMorphism(BundleMap.identity(d1()), BundleMap.identity(d1()),
+                   RefinementDatum.identity(d0())),
+     "creation part's total is not the refinement's fine manifold"),
 ]
 
 
