@@ -271,9 +271,15 @@ def cmd_facthom(args):
         return {"verb": "facthom", "backend": alg.ring.name,
                 "dimension": module.dim}
     cat = load_category(args.category, data)
-    value = facthom_set_pi0(mani, cat)
+    count = facthom_set_pi0(mani, cat).cardinality
+    try:
+        str(count)
+    except ValueError:  # past Python's limit on int-to-str conversion
+        raise ValidationFailure([
+            f"cardinality has more than {sys.get_int_max_str_digits()} "
+            "decimal digits, too many to print"]) from None
     return {"verb": "facthom", "backend": "set", "model": MODEL_TAG,
-            "cardinality": len(value)}
+            "cardinality": count}
 
 
 def cmd_check(args):

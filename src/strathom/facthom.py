@@ -16,7 +16,7 @@ import operator
 from fractions import Fraction
 
 from .exactla import SparseMat, chain_homology
-from .fincat import FinCategory, SimplicialFinSet, UnionFind
+from .fincat import FinCategory, SimplicialFinSet, UnionFind, generating_set
 from .enrich import LinearCategory, Module, is_separable, tensor_all_sets
 from .manifold import GraphManifold
 
@@ -159,20 +159,39 @@ def _transports(cat, verts, edges, elements, isos):
                 yield element, image
 
 
-def facthom_set_pi0(m: GraphManifold, cat: FinCategory):
+class SetProduct:
+    """The product of finite sets, kept as its factors: iterating yields the
+    tuples in the order of `itertools.product(*factors)`, and `cardinality`
+    is the product of the factor sizes, so counting enumerates nothing."""
+
+    __slots__ = ("factors",)
+
+    def __init__(self, factors):
+        self.factors = tuple(factors)
+
+    @property
+    def cardinality(self):
+        return math.prod(map(len, self.factors))
+
+    def __len__(self):
+        return self.cardinality
+
+    def __iter__(self):
+        return itertools.product(*self.factors)
+
+
+def facthom_set_pi0(m: GraphManifold, cat: FinCategory) -> SetProduct:
     """pi_0 of Set-enriched factorization homology over a general stratified
     1-manifold: the product over connected components, disk components
     through the terminal-refinement formula and circles through trace
-    classes."""
-    component_values = []
-    for verts, edge_ids in m.graph_components():
-        sub = m.subgraph(verts, edge_ids)
-        component_values.append(enr_facthom_disk(sub, cat))
-    table = None
+    classes.  Its elements come in the order of `tensor_all_sets` on the
+    component values; they are built only when iterated."""
+    component_values = [enr_facthom_disk(m.subgraph(verts, edge_ids), cat)
+                        for verts, edge_ids in m.graph_components()]
     if m.circles:
-        table = thh_set_pi0(cat)
-        component_values.extend([tuple(table.class_representatives())] * m.circles)
-    return tensor_all_sets(component_values)
+        classes = thh_set_pi0(cat).class_representatives()
+        component_values += [classes] * m.circles
+    return SetProduct(component_values)
 
 
 # -- trace classes (pi_0 of THH in the Set backend) ------------------------------
@@ -183,6 +202,22 @@ class TraceClassTable:
     Classes are canonicalized by least representative; the rotation action
     is trivial on classes by construction (the level-1 cyclic operator swaps
     the two composition orders, which the relations identify).
+
+    Only the relations with f in the generating set G of
+    `fincat.generating_set` are imposed, so the cost is O(|G| · |hom|), not
+    O(|compose_table|).  They generate the same equivalence.  Every
+    morphism f is a unit or f'∘g' with g' in G and f' reached before it; for
+    a unit, g∘f = g = f∘g.  Otherwise, for any g in hom(tgt f, src f),
+
+        g∘f = (g∘f')∘g' ~ g'∘(g∘f') = (g'∘g)∘f' ~ f'∘(g'∘g) = f∘g,
+
+    by the relation at the generator g' and then by induction at f'.  This
+    needs the unit laws and associativity wherever the composites are
+    defined: it holds on every table `validate_category` accepts, and on a
+    length-bounded free monoid, where a composite is defined exactly when
+    the total length is within the bound, so every composite above is
+    defined whenever g∘f is.  A relation whose composites are missing from
+    the table is not imposed.
     """
 
     def __init__(self, cat: FinCategory):
@@ -190,12 +225,12 @@ class TraceClassTable:
         self.elements = tuple(sorted(m for m in cat.morphisms()
                                      if cat.src(m) == cat.tgt(m)))
         self._uf = UnionFind(self.elements)
-        for (g, f), h in cat.compose_table.items():
-            if cat.src(f) == cat.tgt(g):
-                fg = cat.compose_table.get((f, g))
-                if fg is not None:
-                    # h = g∘f is an endomorphism of src(f); fg one of src(g)
-                    self._uf.union(h, fg)
+        table = cat.compose_table
+        for f in generating_set(cat):
+            for g in cat.hom(cat.tgt(f), cat.src(f)):
+                gf, fg = table.get((g, f)), table.get((f, g))
+                if gf is not None and fg is not None:
+                    self._uf.union(gf, fg)
         self._classes = self._uf.classes()
         self._rep = {}
         for block in self._classes:

@@ -187,12 +187,12 @@ def validate_category(cat: FinCategory):
     """All violated axioms, as strings.  Empty report == valid category.
 
     Associativity is checked by Light's test (Clifford-Preston, *The
-    Algebraic Theory of Semigroups* I, §1.2) on a generating set G: every
-    morphism is reached from the units by composing with generators on the
-    right, f = f'∘g' with g' in G and f' reached earlier.  It is enough to
-    check (h∘g)∘f = h∘(g∘f) for f in G.  By induction on the order in which
-    f was reached: a unit f is covered by the unit laws, which are checked
-    first; and if f = f'∘g' then
+    Algebraic Theory of Semigroups* I, §1.2) on the greedy generating set G
+    of `generating_set`: every morphism is reached from the units by
+    composing with generators on the right, f = f'∘g' with g' in G and f'
+    reached earlier.  It is enough to check (h∘g)∘f = h∘(g∘f) for f in G.
+    By induction on the order in which f was reached: a unit f is covered
+    by the unit laws, which are checked first; and if f = f'∘g' then
 
         (h∘g)∘f = ((h∘g)∘f')∘g' = (h∘(g∘f'))∘g' = h∘((g∘f')∘g') = h∘(g∘f),
 
@@ -244,48 +244,54 @@ def validate_category(cat: FinCategory):
     return report
 
 
+def generating_set(cat: FinCategory):
+    """A generating set G of `cat`'s composition, chosen greedily: the
+    reached set starts at the units and is closed under f' -> f'∘g, g in G;
+    then the first morphism in `morphisms()` order not yet reached is the
+    next generator.  So every morphism is a unit, or f'∘g' with g' in G and
+    f' reached before it (a generator g' is unit∘g').  Returns G in the
+    order taken.
+
+    The closure is incremental: a new generator meets the morphisms reached
+    before it, and a newly reached morphism meets the generators so far, so
+    each pair is composed once.  A composite missing from the table (a
+    length-bounded free monoid) reaches nothing.
+    """
+    table, src, tgt = cat.compose_table, cat._src, cat._tgt
+    out_of = {}
+    for m in cat.morphisms():
+        out_of.setdefault(src[m], []).append(m)
+    reached = {cat.units[x] for x in cat.objects if x in cat.units}
+    gens, gens_into = [], {}
+    for m in cat.morphisms():
+        if m in reached:
+            continue
+        gens.append(m)
+        gens_into.setdefault(tgt[m], []).append(m)
+        queue = [table.get((f, m)) for f in out_of.get(tgt[m], ())
+                 if f in reached]
+        queue.append(m)
+        while queue:
+            f = queue.pop()
+            if f is None or f in reached:
+                continue
+            reached.add(f)
+            queue += [table.get((f, g)) for g in gens_into.get(src[f], ())]
+    return gens
+
+
 def _light_failures(cat: FinCategory, ms, out_of):
-    """Light's test on a total table: the triples (h, g, f), f a generator,
-    where (h∘g)∘f != h∘(g∘f).  Works on the ids of `ms`, the morphisms in
-    `morphisms()` order; `out_of[x]` lists the ids with source x."""
+    """Light's test on a total table: the triples (h, g, f), f in
+    `generating_set(cat)`, where (h∘g)∘f != h∘(g∘f).  Works on the ids of
+    `ms`, the morphisms in `morphisms()` order; `out_of[x]` lists the ids
+    with source x."""
     n = len(ms)
     ident = {m: i for i, m in enumerate(ms)}
     comp = {ident[g] * n + ident[f]: ident[h]
             for (g, f), h in cat.compose_table.items()}
-    src = [cat._src[m] for m in ms]
     tgt = [cat._tgt[m] for m in ms]
-    # Greedy generating set, in morphisms() order.  The reached set starts
-    # at the units and is closed under f' -> f'∘g, g in G, incrementally:
-    # a new generator meets the morphisms reached before it, and a newly
-    # reached morphism meets the generators so far, so each pair is
-    # composed once.
-    reached = bytearray(n)
-    for x in cat.objects:
-        reached[ident[cat.units[x]]] = 1
-    gens = []
-    gens_into = {}
-    for m in range(n):
-        if reached[m]:
-            continue
-        gens.append(m)
-        gens_into.setdefault(tgt[m], []).append(m)
-        earlier = [f for f in out_of.get(tgt[m], ()) if reached[f]]
-        reached[m] = 1
-        queue = [m]
-        for f in earlier:
-            fm = comp[f * n + m]
-            if not reached[fm]:
-                reached[fm] = 1
-                queue.append(fm)
-        while queue:
-            f = queue.pop()
-            for g in gens_into.get(src[f], ()):
-                fg = comp[f * n + g]
-                if not reached[fg]:
-                    reached[fg] = 1
-                    queue.append(fg)
     failures = []
-    for f in gens:
+    for f in map(ident.__getitem__, generating_set(cat)):
         for g in out_of.get(tgt[f], ()):
             gf = comp[g * n + f]
             for h in out_of.get(tgt[g], ()):

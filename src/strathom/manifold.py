@@ -621,12 +621,7 @@ class FinSpan:
             groups = {}
             for u in self.apex:
                 groups.setdefault(self.to_right[u], []).append(u)
-            layout = {}
-            for t, fiber in groups.items():
-                fiber.sort(key=repr)
-                layout[t] = (tuple(fiber),
-                             tuple(map(self.to_left.__getitem__, fiber)))
-            self._right_fibers = layout
+            self._right_fibers = _fiber_layout(groups, self.to_left)
         return self._right_fibers
 
     @property
@@ -647,24 +642,39 @@ class FinSpan:
         return f"FinSpan({len(self.left)}<-{len(self.apex)}->{len(self.right)})"
 
 
+def _fiber_layout(groups, to_left):
+    """t -> (fiber, images) from t -> the apex elements over t in apex
+    order: the fiber sorted by `repr` (stably), and its images in S."""
+    layout = {}
+    for t, fiber in groups.items():
+        fiber.sort(key=repr)
+        layout[t] = (tuple(fiber), tuple(map(to_left.__getitem__, fiber)))
+    return layout
+
+
 def compose_spans(a: FinSpan, b: FinSpan) -> FinSpan:
     """Composite span a then b, apex the pullback over the shared middle set:
     each u of a's apex pairs with b's left fiber over its image, so the apex
-    is ordered by u in a.apex order, then by v in b.apex order."""
+    is ordered by u in a.apex order, then by v in b.apex order.  The walk
+    groups the apex by its image in T as it goes, so the composite gets its
+    `right_fibers` without a second pass."""
     if (a.right != b.left
             and sorted(map(repr, a.right)) != sorted(map(repr, b.left))):
         raise ValueError("span endpoints do not match")
     over, b_right = b.left_fibers, b.to_right
     a_left, a_right = a.to_left, a.to_right
-    apex, to_left, to_right = [], {}, {}
+    apex, to_left, to_right, groups = [], {}, {}, {}
     for u in a.apex:
         s = a_left[u]
         for v in over.get(a_right[u], ()):
-            uv = (u, v)
+            uv, t = (u, v), b_right[v]
             apex.append(uv)
             to_left[uv] = s
-            to_right[uv] = b_right[v]
-    return FinSpan(a.left, apex, b.right, to_left, to_right)
+            to_right[uv] = t
+            groups.setdefault(t, []).append(uv)
+    span = FinSpan(a.left, apex, b.right, to_left, to_right)
+    span._right_fibers = _fiber_layout(groups, to_left)
+    return span
 
 
 def spans_isomorphic(a: FinSpan, b: FinSpan) -> bool:

@@ -94,6 +94,50 @@ def test_facthom_verb_over_circle(inputs, capsys):
     assert json.loads(out)["cardinality"] == 2
 
 
+def _facthom_under_a_memory_cap(inputs, tmp_path, circles):
+    """`strathom facthom` on `circles` circles with the walking idempotent,
+    in a subprocess whose address space is capped at 1 GiB, so that
+    enumerating the 2^circles elements fails fast instead of filling the
+    machine's memory."""
+    import os
+    import subprocess
+    import sys
+    import strathom
+    resource = pytest.importorskip("resource")
+    mani = tmp_path / f"circles{circles}.json"
+    mani.write_text(json.dumps({"vertices": [], "edges": [],
+                                "circles": circles}))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(strathom.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("FH_CACHE", None)
+    cap = 1 << 30
+    proc = subprocess.run(
+        [sys.executable, "-m", "strathom.cli", "facthom", "--manifold",
+         str(mani), "--category", inputs["idem"]],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert proc.stderr == ""
+    return proc.returncode, json.loads(proc.stdout)
+
+
+def test_facthom_counts_without_enumerating(inputs, tmp_path):
+    code, result = _facthom_under_a_memory_cap(inputs, tmp_path, 26)
+    assert code == 0
+    assert result["cardinality"] == 2 ** 26
+
+
+def test_facthom_count_too_long_to_print_is_a_validation_failure(
+        inputs, tmp_path):
+    # 2^15000 has 4,516 decimal digits, past Python's default limit of 4,300
+    import sys
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str digit limit")
+    code, result = _facthom_under_a_memory_cap(inputs, tmp_path, 15000)
+    assert code == 1
+    assert result["error"]["type"] == "validation"
+    assert "too many to print" in result["error"]["report"][0]
+
+
 def test_facthom_linear_backend(inputs, tmp_path, capsys):
     mani = tmp_path / "interval.json"
     mani.write_text(json.dumps({

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from strathom.checks import mixed_algebras, small_category_pool
+from strathom.checks import (mixed_algebras, random_segal_category,
+                             small_category_pool)
 from strathom.exactla import QQ, RingFp, SparseMat, ZZ
 from strathom.enrich import (ground_ring_algebra, group_algebra,
                              matrix_algebra, nerve, product_algebra,
@@ -18,13 +19,15 @@ from strathom.facthom import (ChainComplexBundle, LinearCyclicLevel,
                               facthom_set_pi0, hochschild_homology,
                               negative_cyclic_homology, _total_complex,
                               thh_set_pi0)
-from strathom.fincat import (discrete_category, monoid_category,
-                             poset_category, walking_idempotent)
+from strathom.fincat import (UnionFind, discrete_category, generating_set,
+                             monoid_category, poset_category,
+                             walking_idempotent)
 from strathom.indexing import standard_interval
 from strathom.manifold import (GraphManifold, cycle_graph, d0,
                                disjoint_union, pointed_circle, smooth_circle)
-from strathom.cyclo import (cyclic_group_table, group_category,
-                            quaternion_group_table, symmetric_group_table)
+from strathom.cyclo import (cyclic_group_table, free_monoid_category,
+                            group_category, quaternion_group_table,
+                            symmetric_group_table)
 
 
 POSET = poset_category(("0", "1"), lambda a, b: a <= b)
@@ -239,6 +242,48 @@ def test_linear_bar_level_is_disk_evaluation_on_the_marked_circle(n):
     for name, alg, _ in mixed_algebras():
         assert _bar_elements(alg, n) \
             == list(enr_facthom_disk(cycle_graph(n + 1), alg).basis), name
+
+
+# -- trace classes against the all-pairs oracle ------------------------------------------------
+
+def _all_pairs_trace_classes(cat):
+    """Labelled oracle for `TraceClassTable`: the trace relation g∘f ~ f∘g
+    imposed for every composable pair of the table, where the table
+    imposes it only for f in a generating set."""
+    uf = UnionFind(m for m in cat.morphisms() if cat.src(m) == cat.tgt(m))
+    for (g, f), h in cat.compose_table.items():
+        if cat.src(f) == cat.tgt(g):
+            fg = cat.compose_table.get((f, g))
+            if fg is not None:
+                uf.union(h, fg)
+    return uf.classes()
+
+
+TRACE_ORACLE_CATEGORIES = BAR_CATEGORIES + [
+    ("S_4", group_category(*symmetric_group_table(4))),
+    ("S_5", group_category(*symmetric_group_table(5)))] + [
+    (f"Z/{n}", group_category(*cyclic_group_table(n))) for n in range(1, 8)] + [
+    (f"free({m},{b})", free_monoid_category(m, b))
+    for m in range(1, 4) for b in range(7)] + [
+    (f"segal{seed}", random_segal_category(seed)) for seed in range(20)]
+
+
+@pytest.mark.parametrize("name, cat", TRACE_ORACLE_CATEGORIES,
+                         ids=[name for name, _ in TRACE_ORACLE_CATEGORIES])
+def test_trace_classes_from_generators_match_the_all_pairs_oracle(name, cat):
+    assert thh_set_pi0(cat).classes() == _all_pairs_trace_classes(cat)
+
+
+def test_generators_that_are_not_endomorphisms_still_rotate():
+    # in the codiscrete pair 0<=0 = (1<=0)∘(0<=1) ~ (0<=1)∘(1<=0) = 1<=1,
+    # a relation that only the generators 0<=1 and 1<=0 impose
+    cat = poset_category(("0", "1"), lambda a, b: True)
+    assert generating_set(cat) == ["0<=1", "1<=0"]
+    assert thh_set_pi0(cat).classes() == [("0<=0", "1<=1")]
+
+
+def test_free_monoid_is_generated_by_its_letters():
+    assert generating_set(free_monoid_category(3, 5)) == ["a", "b", "c"]
 
 
 # -- Hochschild homology -----------------------------------------------------------------------

@@ -274,6 +274,9 @@ def test_compose_spans_matches_the_double_loop_oracle():
         assert dict(comp.to_left) == to_left
         assert dict(comp.to_right) == to_right
         assert (comp.left, comp.right) == (a.left, b.right)
+        # the layout filled during the walk, against one computed from legs
+        assert comp.right_fibers == FinSpan(
+            a.left, apex, b.right, to_left, to_right).right_fibers
         nonempty += bool(apex)
     assert nonempty > 1000
 
