@@ -62,6 +62,8 @@ def _load_json(path, text):
     except RecursionError as exc:
         raise SchemaError(
             f"{path}: not valid JSON (nested too deeply)") from exc
+    except ValueError as exc:   # an integer past Python's digit limit
+        raise SchemaError(f"{path}: not readable JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise SchemaError(f"{path}: expected a JSON object, "
                           f"found {type(data).__name__}")
@@ -271,13 +273,19 @@ def cmd_facthom(args):
         return {"verb": "facthom", "backend": alg.ring.name,
                 "dimension": module.dim}
     cat = load_category(args.category, data)
-    count = facthom_set_pi0(mani, cat).cardinality
+    value = facthom_set_pi0(mani, cat)
+    limit = sys.get_int_max_str_digits()
+    too_long = ValidationFailure([f"cardinality has more than {limit} "
+                                  "decimal digits, too many to print"])
+    # decide from the logarithm first, so that no count far past the limit
+    # is ever multiplied out; near the limit the exact count decides
+    if limit and value.log10_cardinality() > limit + 1:
+        raise too_long
+    count = value.cardinality
     try:
         str(count)
     except ValueError:  # past Python's limit on int-to-str conversion
-        raise ValidationFailure([
-            f"cardinality has more than {sys.get_int_max_str_digits()} "
-            "decimal digits, too many to print"]) from None
+        raise too_long from None
     return {"verb": "facthom", "backend": "set", "model": MODEL_TAG,
             "cardinality": count}
 

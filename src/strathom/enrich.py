@@ -403,35 +403,6 @@ def truncated_polynomial_algebra(ring, n: int) -> LinearCategory:
     return algebra_from_table(ring, basis, table, {"x0": 1})
 
 
-def product_algebra(a: LinearCategory, b: LinearCategory) -> LinearCategory:
-    """Product of two one-object algebras over the same ring."""
-    if a.ring != b.ring:
-        raise ValueError("ring mismatch")
-    obj = "*"
-    basis = [f"l.{i}" for i in a.hom(obj, obj)] + [f"r.{j}" for j in b.hom(obj, obj)]
-    table = {}
-    for i in a.hom(obj, obj):
-        for j in a.hom(obj, obj):
-            table[(f"l.{i}", f"l.{j}")] = {
-                f"l.{k}": c for k, c in a.compose_basis(obj, obj, obj, i, j).items()}
-    for i in b.hom(obj, obj):
-        for j in b.hom(obj, obj):
-            table[(f"r.{i}", f"r.{j}")] = {
-                f"r.{k}": c for k, c in b.compose_basis(obj, obj, obj, i, j).items()}
-    for i in a.hom(obj, obj):
-        for j in b.hom(obj, obj):
-            table[(f"l.{i}", f"r.{j}")] = {}
-            table[(f"r.{j}", f"l.{i}")] = {}
-    unit = {f"l.{k}": c for k, c in a.unit_vector(obj).items()}
-    unit.update({f"r.{k}": c for k, c in b.unit_vector(obj).items()})
-    return algebra_from_table(a.ring, basis, table, unit)
-
-
-def zero_algebra(ring) -> LinearCategory:
-    """The zero-dimensional algebra (empty basis)."""
-    return LinearCategory(ring, ("*",), {("*", "*"): ()}, {}, {"*": {}})
-
-
 def commutator_cokernel_invariants(alg: LinearCategory):
     """Oracle for degree-0 Hochschild homology: invariants of A/[A, A],
     the cokernel of a ⊗ b  ->  ab - ba."""

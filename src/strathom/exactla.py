@@ -163,18 +163,6 @@ class SparseMat:
         self.rows = [dict() for _ in range(nrows)] if rows is None else rows
 
     @classmethod
-    def from_dense(cls, ring: Ring, data) -> "SparseMat":
-        nrows = len(data)
-        ncols = len(data[0]) if nrows else 0
-        m = cls(nrows, ncols)
-        for i, row in enumerate(data):
-            for j, v in enumerate(row):
-                v = ring.normalize(v)
-                if v != 0:
-                    m.rows[i][j] = v
-        return m
-
-    @classmethod
     def from_columns(cls, nrows: int, columns) -> "SparseMat":
         """Build from an iterable of columns, each a dict row->value."""
         columns = list(columns)
@@ -191,10 +179,6 @@ class SparseMat:
         for i in range(n):
             m.rows[i][i] = 1
         return m
-
-    def to_dense(self):
-        return [[self.rows[i].get(j, 0) for j in range(self.ncols)]
-                for i in range(self.nrows)]
 
     def clone(self) -> "SparseMat":
         return SparseMat(self.nrows, self.ncols, [dict(r) for r in self.rows])

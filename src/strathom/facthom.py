@@ -160,38 +160,56 @@ def _transports(cat, verts, edges, elements, isos):
 
 
 class SetProduct:
-    """The product of finite sets, kept as its factors: iterating yields the
-    tuples in the order of `itertools.product(*factors)`, and `cardinality`
-    is the product of the factor sizes, so counting enumerates nothing."""
+    """The product of finite sets, kept as its factors: each of `factors`
+    once, then `power` repeated `times` times.  Iterating yields the tuples
+    in the order of `itertools.product(*factors, *[power] * times)`, and
+    `cardinality` is computed from the factor sizes, so counting
+    enumerates nothing."""
 
-    __slots__ = ("factors",)
+    __slots__ = ("factors", "power", "times")
 
-    def __init__(self, factors):
+    def __init__(self, factors, power=(), times=0):
         self.factors = tuple(factors)
+        self.power = power
+        self.times = times
 
     @property
     def cardinality(self):
-        return math.prod(map(len, self.factors))
+        return math.prod(map(len, self.factors)) * len(self.power) ** self.times
+
+    def log10_cardinality(self) -> float:
+        """log10 of `cardinality` from the factor sizes in floating point,
+        with no big-int arithmetic; -inf for the empty product."""
+        sizes = list(map(len, self.factors))
+        if 0 in sizes or (self.times and not self.power):
+            return -math.inf
+        log = math.fsum(map(math.log10, sizes))
+        if self.times:
+            log += self.times * math.log10(len(self.power))
+        return log
 
     def __len__(self):
         return self.cardinality
 
     def __iter__(self):
-        return itertools.product(*self.factors)
+        return itertools.product(
+            *self.factors, *itertools.repeat(self.power, self.times))
 
 
 def facthom_set_pi0(m: GraphManifold, cat: FinCategory) -> SetProduct:
     """pi_0 of Set-enriched factorization homology over a general stratified
     1-manifold: the product over connected components, disk components
     through the terminal-refinement formula and circles through trace
-    classes.  Its elements come in the order of `tensor_all_sets` on the
-    component values; they are built only when iterated."""
+    classes, held once with the circle count as its multiplicity.  Its
+    elements come in the order of `tensor_all_sets` on the component values
+    (disk components, then one factor per circle); they are built only when
+    iterated."""
     component_values = [enr_facthom_disk(m.subgraph(verts, edge_ids), cat)
                         for verts, edge_ids in m.graph_components()]
-    if m.circles:
-        classes = thh_set_pi0(cat).class_representatives()
-        component_values += [classes] * m.circles
-    return SetProduct(component_values)
+    if not m.circles:
+        return SetProduct(component_values)
+    classes = thh_set_pi0(cat).class_representatives()
+    return SetProduct(component_values, classes, m.circles)
 
 
 # -- trace classes (pi_0 of THH in the Set backend) ------------------------------

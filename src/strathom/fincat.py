@@ -531,22 +531,6 @@ def factorize_morphism(fs: FactorizationSystem, f):
     return found[0]
 
 
-def factorization_unique_up_to_iso(fs: FactorizationSystem, f) -> bool:
-    """Check that any two factorizations of f differ by a unique mediating iso."""
-    cat = fs.category
-    found = factorizations(fs, f)
-    if not found:
-        return False
-    l0, r0 = found[0]
-    for l1, r1 in found[1:]:
-        mids = [w for w in cat.hom(cat.tgt(l0), cat.tgt(l1))
-                if cat.inverse(w) is not None
-                and cat.compose(w, l0) == l1 and cat.compose(r1, w) == r0]
-        if len(mids) != 1:
-            return False
-    return True
-
-
 # -- truncated simplicial finite sets ---------------------------------------
 
 class SimplicialFinSet:

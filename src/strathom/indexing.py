@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .fincat import FactorizationSystem, FinCategory
 from .manifold import GraphManifold, blowup, d0
 
 
@@ -88,38 +87,6 @@ def delta_op_factorize(f: SimplexMap):
     active = SimplexMap(f.m, top, tuple(v - k for v in f.values))
     closed = SimplexMap(top, f.n, tuple(range(k, k + top + 1)))
     return active, closed
-
-
-def _simplex_name(f: SimplexMap) -> str:
-    return f"[{f.m}]->[{f.n}]:" + ",".join(map(str, f.values))
-
-
-def delta_category(max_level: int):
-    """The simplex category truncated at [max_level], materialized as a
-    finite category, together with its [active; closed] factorization
-    system.  Returns (category, system, name lookup)."""
-    maps = {}
-    homs = {}
-    for m in range(max_level + 1):
-        for n in range(max_level + 1):
-            ms = all_simplex_maps(m, n)
-            homs[(f"[{m}]", f"[{n}]")] = tuple(_simplex_name(f) for f in ms)
-            for f in ms:
-                maps[_simplex_name(f)] = f
-    compose = {}
-    for gname, g in maps.items():
-        for fname, f in maps.items():
-            if f.n == g.m:
-                compose[(gname, fname)] = _simplex_name(g.compose(f))
-    units = {f"[{n}]": _simplex_name(SimplexMap.identity(n))
-             for n in range(max_level + 1)}
-    cat = FinCategory(tuple(f"[{n}]" for n in range(max_level + 1)),
-                      homs, compose, units)
-    fs = FactorizationSystem(
-        cat,
-        frozenset(name for name, f in maps.items() if f.is_active()),
-        frozenset(name for name, f in maps.items() if f.is_closed()))
-    return cat, fs, maps
 
 
 # -- paracyclic operators -----------------------------------------------------
@@ -245,20 +212,11 @@ PARACYCLIC = "paracyclic"
 @dataclass(frozen=True)
 class RefinementCategoryDescriptor:
     """The product decomposition of a disk-refinement category, one factor
-    per component of the total blowup."""
+    per component of the total blowup.  With no paracyclic factor the
+    manifold is disk-stratified and is itself the terminal object."""
 
     factors: tuple
     manifold: GraphManifold
-
-    def has_terminal_object(self) -> bool:
-        return PARACYCLIC not in self.factors
-
-    def terminal_object(self) -> GraphManifold:
-        """For a disk-stratified manifold the terminal disk-refinement is the
-        manifold itself."""
-        if not self.has_terminal_object():
-            raise ValueError("a paracyclic factor has no terminal object")
-        return self.manifold
 
 
 def disk_refinement_category(m: GraphManifold) -> RefinementCategoryDescriptor:

@@ -94,11 +94,12 @@ def test_facthom_verb_over_circle(inputs, capsys):
     assert json.loads(out)["cardinality"] == 2
 
 
-def _facthom_under_a_memory_cap(inputs, tmp_path, circles):
-    """`strathom facthom` on `circles` circles with the walking idempotent,
-    in a subprocess whose address space is capped at 1 GiB, so that
-    enumerating the 2^circles elements fails fast instead of filling the
-    machine's memory."""
+def _facthom_under_a_memory_cap(inputs, tmp_path, circles, category=None):
+    """`strathom facthom` on `circles` circles with the walking idempotent
+    (or the category file `category`), in a subprocess whose address space
+    is capped at 1 GiB, so that enumerating the 2^circles elements fails
+    fast instead of filling the machine's memory.  Returns the exit code,
+    the parsed stdout and the wall time in seconds."""
     import os
     import subprocess
     import sys
@@ -111,31 +112,49 @@ def _facthom_under_a_memory_cap(inputs, tmp_path, circles):
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("FH_CACHE", None)
     cap = 1 << 30
+    start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "strathom.cli", "facthom", "--manifold",
-         str(mani), "--category", inputs["idem"]],
+         str(mani), "--category", category or inputs["idem"]],
         env=env, capture_output=True, text=True, timeout=120,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    elapsed = time.perf_counter() - start
     assert proc.stderr == ""
-    return proc.returncode, json.loads(proc.stdout)
+    return proc.returncode, json.loads(proc.stdout), elapsed
 
 
 def test_facthom_counts_without_enumerating(inputs, tmp_path):
-    code, result = _facthom_under_a_memory_cap(inputs, tmp_path, 26)
+    code, result, _ = _facthom_under_a_memory_cap(inputs, tmp_path, 26)
     assert code == 0
     assert result["cardinality"] == 2 ** 26
+    # with at most one trace class the count is exact for any circle count
+    for homs, count in (({}, 0), ({"*->*": ["id"]}, 1)):
+        category = tmp_path / "small.json"
+        category.write_text(json.dumps({
+            "objects": ["*"] if homs else [], "homs": homs,
+            "compose": {"id*id": "id"} if homs else {},
+            "units": {"*": "id"} if homs else {}}))
+        code, result, _ = _facthom_under_a_memory_cap(
+            inputs, tmp_path, 10 ** 19, str(category))
+        assert code == 0
+        assert result["cardinality"] == count
 
 
 def test_facthom_count_too_long_to_print_is_a_validation_failure(
         inputs, tmp_path):
-    # 2^15000 has 4,516 decimal digits, past Python's default limit of 4,300
+    # 2^15000 has 4,516 decimal digits, past Python's default limit of
+    # 4,300; 2^1,600,000 took 52 s to multiply out before it was reported,
+    # and 10^19 copies of the circle factor did not fit in a list
     import sys
     if not hasattr(sys, "get_int_max_str_digits"):
         pytest.skip("this Python has no int-to-str digit limit")
-    code, result = _facthom_under_a_memory_cap(inputs, tmp_path, 15000)
-    assert code == 1
-    assert result["error"]["type"] == "validation"
-    assert "too many to print" in result["error"]["report"][0]
+    for circles in (15000, 1_600_000, 10 ** 19):
+        code, result, elapsed = _facthom_under_a_memory_cap(inputs, tmp_path,
+                                                            circles)
+        assert code == 1
+        assert result["error"]["type"] == "validation"
+        assert "too many to print" in result["error"]["report"][0]
+        assert elapsed < 5   # mostly the process start
 
 
 def test_facthom_linear_backend(inputs, tmp_path, capsys):
@@ -556,6 +575,21 @@ def test_deeply_nested_input_is_a_schema_error(tmp_path, capsys):
     assert error["message"] == f"{path}: not valid JSON (nested too deeply)"
 
 
+def test_integer_past_the_digit_limit_is_a_schema_error(tmp_path, capsys):
+    import sys
+    if not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000:
+        pytest.skip("this Python parses a 5,000-digit integer")
+    path = tmp_path / "long.json"
+    path.write_text('{"vertices": [], "edges": [], "circles": '
+                    + "9" * 5000 + "}")
+    code, out = run(capsys, "facthom", "--manifold", str(path),
+                    "--category", str(path))
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "schema"
+    assert error["message"].startswith(f"{path}: not readable JSON (")
+
+
 def test_each_input_file_is_opened_once(inputs, capsys, monkeypatch):
     import builtins
     opened = []
@@ -751,6 +785,8 @@ JSON_SCRAPS = st.text(alphabet='[]{}",:-+.0123456789eE ntrufals\\/\n',
 @example(target=("thh-set", "--category"), start=0, length=10 ** 6,
          scrap=DEEP)
 @example(target=("hh", "--algebra"), start=1, length=0, scrap=DEEP)
+@example(target=("facthom", "--manifold"), start=0, length=10 ** 6,
+         scrap="9" * 5000)
 def test_malformed_json_text_never_tracebacks(tmp_path, monkeypatch, target,
                                              start, length, scrap):
     """Any verb, one input's valid text cut at `start` (when `scrap` is

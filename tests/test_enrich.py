@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -11,15 +13,17 @@ from strathom.enrich import (LinearCategory, algebra_from_table,
                              corr_pushforward_witness,
                              ground_ring_algebra, group_algebra,
                              matrix_algebra, nerve,
-                             pointed_pushforward, product_algebra,
+                             pointed_pushforward,
                              span_of_pointed_map, tensor_all_sets,
                              truncated_polynomial_algebra,
                              validate_linear_category,
-                             Product, zero_algebra)
+                             Product)
 from strathom.fincat import (poset_category, validate_category,
                              walking_idempotent)
 from strathom.manifold import FinSpan, compose_spans
 from strathom.cyclo import cyclic_group_table
+
+from helpers import product_algebra, zero_algebra
 
 
 # -- validation ---------------------------------------------------------------
@@ -194,6 +198,46 @@ def test_index_check_agrees_with_tuple_witness():
                 empty_fibers += tuple(direct[t]) == ((),)
                 empty_values += tuple(direct[t]) == ()
     assert empty_fibers > 0 and empty_values > 0
+
+
+def _leg_matrix(span):
+    """The span's matrix over ℕ: (s, t) -> the number of apex elements over
+    s and t, read off the legs alone."""
+    return Counter((span.to_left[u], span.to_right[u]) for u in span.apex)
+
+
+def test_span_composition_is_the_product_of_leg_matrices():
+    """Spans of finite sets up to apex iso compose as ℕ-matrices (Lack,
+    "Composing PROPs", TAC 13, 2004): on every pair of the corr suite, the
+    legs of `compose_spans(a, b)` give M_a·M_b, and the pushforward of a
+    family F through the composite has Π_s |F(s)|^M[s, t] elements over
+    each t.  The expected side reads no fiber layout and no slot."""
+    pairs = nonempty = 0
+    rows_of = {}   # id of a second span -> t -> [(w, M_b[t, w])]
+    for a, out_of in checks.corr_span_pairs():
+        family = {s: tuple(range((s % 3) + 1)) for s in a.left}
+        m_a = _leg_matrix(a)
+        for b in out_of:
+            rows = rows_of.get(id(b))
+            if rows is None:
+                rows = rows_of[id(b)] = {}
+                for (t, w), k in _leg_matrix(b).items():
+                    rows.setdefault(t, []).append((w, k))
+            product = Counter()
+            for (s, t), k in m_a.items():
+                for w, n in rows.get(t, ()):
+                    product[s, w] += k * n
+            comp = compose_spans(a, b)
+            assert (comp.left, comp.right) == (a.left, b.right)
+            assert _leg_matrix(comp) == product
+            pushed = corr_pushforward(comp, family)
+            for w in b.right:
+                assert len(pushed[w]) == math.prod(
+                    len(family[s]) ** product[s, w] for s in a.left)
+            pairs += 1
+            nonempty += bool(comp.apex)
+    assert pairs == 122_773
+    assert nonempty > 60_000
 
 
 def _faulty_compose(fault):

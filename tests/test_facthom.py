@@ -9,9 +9,9 @@ from strathom.checks import (mixed_algebras, random_segal_category,
                              small_category_pool)
 from strathom.exactla import QQ, RingFp, SparseMat, ZZ
 from strathom.enrich import (ground_ring_algebra, group_algebra,
-                             matrix_algebra, nerve, product_algebra,
+                             matrix_algebra, nerve,
                              truncated_polynomial_algebra,
-                             commutator_cokernel_invariants, zero_algebra)
+                             commutator_cokernel_invariants)
 from strathom.facthom import (ChainComplexBundle, LinearCyclicLevel,
                               _bar_elements,
                               SetCyclicBar, cart_facthom_disk,
@@ -28,6 +28,8 @@ from strathom.manifold import (GraphManifold, cycle_graph, d0,
 from strathom.cyclo import (cyclic_group_table, free_monoid_category,
                             group_category, quaternion_group_table,
                             symmetric_group_table)
+
+from helpers import product_algebra, zero_algebra
 
 
 POSET = poset_category(("0", "1"), lambda a, b: a <= b)
@@ -127,6 +129,22 @@ def test_two_circles_of_z4():
 def test_empty_manifold_gives_singleton():
     m = GraphManifold((), (), 0)
     assert len(facthom_set_pi0(m, walking_idempotent())) == 1
+
+
+def test_circles_are_one_factor_with_a_multiplicity_in_product_order():
+    cat = monoid_category(*cyclic_group_table(3))
+    m = disjoint_union(disjoint_union(d0(), smooth_circle()), smooth_circle())
+    value = facthom_set_pi0(m, cat)
+    disk = enr_facthom_disk(d0(), cat)
+    classes = thh_set_pi0(cat).class_representatives()
+    assert value.times == 2
+    assert list(value) == list(itertools.product(disk, classes, classes))
+    assert value.cardinality == len(disk) * 9
+    assert math.isclose(value.log10_cardinality(),
+                        math.log10(value.cardinality))
+    empty = facthom_set_pi0(m, discrete_category(()))
+    assert empty.cardinality == 0 and list(empty) == []
+    assert empty.log10_cardinality() == -math.inf
 
 
 # -- trace classes ---------------------------------------------------------------------------

