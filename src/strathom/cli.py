@@ -250,6 +250,21 @@ def cmd_trace(args):
             "model": MODEL_TAG}
 
 
+def _printable_digits() -> int:
+    """The most decimal digits a printed count may have: Python's int-to-str
+    limit, or, with that limit off or absent (before Python 3.10.7), one
+    digit per byte of the machine's memory, since the decimal string must
+    fit in it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        return limit
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf, as on Windows
+        memory = -1
+    return memory if memory > 0 else sys.maxsize
+
+
 def cmd_facthom(args):
     mani = load_manifold(args.manifold, args.data["manifold"])
     backend = args.backend
@@ -274,12 +289,12 @@ def cmd_facthom(args):
                 "dimension": module.dim}
     cat = load_category(args.category, data)
     value = facthom_set_pi0(mani, cat)
-    limit = sys.get_int_max_str_digits()
+    limit = _printable_digits()
     too_long = ValidationFailure([f"cardinality has more than {limit} "
                                   "decimal digits, too many to print"])
     # decide from the logarithm first, so that no count far past the limit
     # is ever multiplied out; near the limit the exact count decides
-    if limit and value.log10_cardinality() > limit + 1:
+    if value.log10_cardinality() > limit + 1:
         raise too_long
     count = value.cardinality
     try:

@@ -168,7 +168,7 @@ class SetProduct:
 
     __slots__ = ("factors", "power", "times")
 
-    def __init__(self, factors, power=(), times=0):
+    def __init__(self, factors, power, times):
         self.factors = tuple(factors)
         self.power = power
         self.times = times
@@ -206,10 +206,10 @@ def facthom_set_pi0(m: GraphManifold, cat: FinCategory) -> SetProduct:
     iterated."""
     component_values = [enr_facthom_disk(m.subgraph(verts, edge_ids), cat)
                         for verts, edge_ids in m.graph_components()]
-    if not m.circles:
-        return SetProduct(component_values)
-    classes = thh_set_pi0(cat).class_representatives()
-    return SetProduct(component_values, classes, m.circles)
+    return SetProduct(
+        component_values,
+        thh_set_pi0(cat).class_representatives() if m.circles else (),
+        m.circles)
 
 
 # -- trace classes (pi_0 of THH in the Set backend) ------------------------------

@@ -94,12 +94,14 @@ def test_facthom_verb_over_circle(inputs, capsys):
     assert json.loads(out)["cardinality"] == 2
 
 
-def _facthom_under_a_memory_cap(inputs, tmp_path, circles, category=None):
+def _facthom_under_a_memory_cap(inputs, tmp_path, circles, category=None,
+                                **environ):
     """`strathom facthom` on `circles` circles with the walking idempotent
     (or the category file `category`), in a subprocess whose address space
     is capped at 1 GiB, so that enumerating the 2^circles elements fails
-    fast instead of filling the machine's memory.  Returns the exit code,
-    the parsed stdout and the wall time in seconds."""
+    fast instead of filling the machine's memory.  `environ` is added to
+    the subprocess's environment.  Returns the exit code, the parsed stdout
+    and the manifold file."""
     import os
     import subprocess
     import sys
@@ -109,18 +111,16 @@ def _facthom_under_a_memory_cap(inputs, tmp_path, circles, category=None):
     mani.write_text(json.dumps({"vertices": [], "edges": [],
                                 "circles": circles}))
     src = os.path.dirname(os.path.dirname(os.path.abspath(strathom.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=src, **environ)
     env.pop("FH_CACHE", None)
     cap = 1 << 30
-    start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "strathom.cli", "facthom", "--manifold",
          str(mani), "--category", category or inputs["idem"]],
         env=env, capture_output=True, text=True, timeout=120,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
-    elapsed = time.perf_counter() - start
     assert proc.stderr == ""
-    return proc.returncode, json.loads(proc.stdout), elapsed
+    return proc.returncode, json.loads(proc.stdout), mani
 
 
 def test_facthom_counts_without_enumerating(inputs, tmp_path):
@@ -141,7 +141,7 @@ def test_facthom_counts_without_enumerating(inputs, tmp_path):
 
 
 def test_facthom_count_too_long_to_print_is_a_validation_failure(
-        inputs, tmp_path):
+        inputs, tmp_path, capsys):
     # 2^15000 has 4,516 decimal digits, past Python's default limit of
     # 4,300; 2^1,600,000 took 52 s to multiply out before it was reported,
     # and 10^19 copies of the circle factor did not fit in a list
@@ -149,12 +149,39 @@ def test_facthom_count_too_long_to_print_is_a_validation_failure(
     if not hasattr(sys, "get_int_max_str_digits"):
         pytest.skip("this Python has no int-to-str digit limit")
     for circles in (15000, 1_600_000, 10 ** 19):
-        code, result, elapsed = _facthom_under_a_memory_cap(inputs, tmp_path,
-                                                            circles)
+        code, result, mani = _facthom_under_a_memory_cap(inputs, tmp_path,
+                                                         circles)
         assert code == 1
         assert result["error"]["type"] == "validation"
         assert "too many to print" in result["error"]["report"][0]
-        assert elapsed < 5   # mostly the process start
+        # the capped run has ruled out a runaway allocation; time the verb
+        # itself in this process, without the process start
+        start = time.perf_counter()
+        code, out = run(capsys, "facthom", "--manifold", str(mani),
+                        "--category", inputs["idem"])
+        assert time.perf_counter() - start < 1
+        assert (code, json.loads(out)) == (1, result)
+
+
+def test_facthom_count_past_memory_is_reported_with_the_digit_limit_off(
+        inputs, tmp_path):
+    # with PYTHONINTMAXSTRDIGITS=0 no digit limit bounds the count, so the
+    # 3·10^18-digit count of 10^19 circles is measured against memory
+    code, result, _ = _facthom_under_a_memory_cap(
+        inputs, tmp_path, 10 ** 19, PYTHONINTMAXSTRDIGITS="0")
+    assert code == 1
+    assert "too many to print" in result["error"]["report"][0]
+
+
+def test_facthom_runs_on_a_python_without_a_digit_limit(
+        inputs, capsys, monkeypatch):
+    # Python before 3.10.7 has no sys.get_int_max_str_digits
+    import sys
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    code, out = run(capsys, "facthom", "--manifold", inputs["s1"],
+                    "--category", inputs["idem"])
+    assert code == 0
+    assert json.loads(out)["cardinality"] == 2
 
 
 def test_facthom_linear_backend(inputs, tmp_path, capsys):
