@@ -34,6 +34,13 @@ class SchemaError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are schema errors, so `main` reports them in JSON."""
+
+    def error(self, message):
+        raise SchemaError(f"{self.prog}: {message}")
+
+
 class ValidationFailure(Exception):
     def __init__(self, report):
         self.report = report
@@ -321,11 +328,11 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", choices=("json", "table"), default="json")
     common.add_argument("--cache", help="cache directory (default: $FH_CACHE)")
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="strathom",
         description="Exact factorization homology over stratified 1-manifolds")
     sub = parser.add_subparsers(dest="verb", required=True,
-                                parser_class=lambda **kw: argparse.ArgumentParser(
+                                parser_class=lambda **kw: _Parser(
                                     parents=[common], **kw))
 
     p = sub.add_parser("hh", help="Hochschild homology of a linear category")
@@ -385,11 +392,11 @@ def _input_fingerprint(args, texts):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.cache is None:
-        args.cache = os.environ.get("FH_CACHE")
-    cache = None if args.verb == "check" else args.cache
     try:
+        args = build_parser().parse_args(argv)
+        if args.cache is None:
+            args.cache = os.environ.get("FH_CACHE")
+        cache = None if args.verb == "check" else args.cache
         for attr in ("max_degree", "i_max"):
             if getattr(args, attr, 0) < 0:
                 raise SchemaError(f"--{attr.replace('_', '-')} must be >= 0")

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .fincat import FinCategory, monoid_category
+from .fincat import FinCategory, _free_category, monoid_category
 from .facthom import TraceClassTable, thh_set_pi0
 
 DEFAULT_DEGREES = (2, 3)
@@ -169,29 +169,13 @@ def free_loop_census(elements, mult, unit):
 # -- free monoids and configuration classes ----------------------------------------
 
 def free_monoid_category(m: int, max_len: int) -> FinCategory:
-    """The one-object category of words up to a length bound over the m
-    letters a, b, c, ..., composed by concatenation (out-of-bound composites
-    are absent from the table).
-
-    Only the in-bound pairs are visited: words grouped by length, u of
-    length lu against v of length at most max_len - lu.  The table holds
-    sum over s <= max_len of (s + 1)·m^s entries for m letters."""
-    letters = tuple(chr(ord("a") + i) for i in range(m))
-    by_len = [[""]] + [["".join(w) for w in itertools.product(letters, repeat=n)]
-                       for n in range(1, max_len + 1)]
-    words = [w for level in by_len for w in level]
-    names = {w: w if w else "1" for w in words}
-    compose = {}
-    for lu, us in enumerate(by_len):
-        vs = [v for level in by_len[:max_len - lu + 1] for v in level]
-        for u in us:
-            nu = names[u]
-            for v in vs:
-                # "u then v" is the composite v∘u
-                compose[(names[v], nu)] = names[u + v]
-    obj = "*"
-    return FinCategory((obj,), {(obj, obj): tuple(names[w] for w in words)},
-                       compose, {obj: "1"})
+    """Words of length <= max_len over the m letters a, b, c, ..., composed
+    by concatenation: the bounded free category on one object with a loop
+    per letter, the empty word "1".  The table holds sum over s <= max_len
+    of (s + 1)·m^s entries (out-of-bound composites are absent)."""
+    letters = [(chr(ord("a") + i), "*") for i in range(m)]
+    return _free_category(("*",), {"*": letters}, max_len,
+                          lambda x, word: word or "1")
 
 
 def euler_phi(n: int) -> int:

@@ -164,7 +164,7 @@ class SetProduct:
     once, then `power` repeated `times` times.  Iterating yields the tuples
     in the order of `itertools.product(*factors, *[power] * times)`, and
     `cardinality` is computed from the factor sizes, so counting
-    enumerates nothing."""
+    enumerates nothing (no `len`: it cannot exceed `sys.maxsize`)."""
 
     __slots__ = ("factors", "power", "times")
 
@@ -187,9 +187,6 @@ class SetProduct:
         if self.times:
             log += self.times * math.log10(len(self.power))
         return log
-
-    def __len__(self):
-        return self.cardinality
 
     def __iter__(self):
         return itertools.product(

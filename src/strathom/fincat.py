@@ -9,7 +9,7 @@ same machinery carry length-bounded free constructions.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 _JSON_NAMES = {str: "a string", int: "an integer", list: "a list",
@@ -625,39 +625,51 @@ def codiscrete(vertex_set, depth: int) -> SimplicialFinSet:
 
 # -- free constructions ------------------------------------------------------
 
-SEQ_SEP = ">"
-
-
-def _seq_name(seq):
-    return SEQ_SEP.join(seq)
+def _free_category(objects, steps, bound, name) -> FinCategory:
+    """The free category on a finite graph cut off at path length `bound`
+    (Mac Lane, *CWM* §II.7).  `steps[x]` lists the (label, target) edges
+    out of x; paths run by length, start object, then label order, and the
+    one from x spelling `word` is `name(x, word)`.  Only in-bound pairs are
+    composed: u of length lu with the v of length at most bound - lu."""
+    # levels[n][x]: the words and ends of the length-n paths from x
+    levels = [{x: ([""], [x]) for x in objects}]
+    for _ in range(bound):
+        levels.append({x: ([word + label for word, y in zip(words, ends)
+                            for label, _ in steps[y]],
+                           [z for y in ends for _, z in steps[y]])
+                       for x, (words, ends) in levels[-1].items()})
+    names = {x: {} for x in objects}       # word -> name
+    shorter = {x: [[]] for x in objects}   # shorter[x][n]: words of length < n
+    homs = defaultdict(list)
+    for level in levels:
+        for x, (words, ends) in level.items():
+            level_names = [name(x, word) for word in words]
+            names[x].update(zip(words, level_names))
+            shorter[x].append(shorter[x][-1] + words)
+            for y in dict.fromkeys(ends):   # in order of first appearance
+                homs[x, y] += [n for n, z in zip(level_names, ends) if z == y]
+    compose = {}
+    for lu, level in enumerate(levels[:bound + 1]):
+        tails = {y: shorter[y][bound - lu + 1] for y in objects}
+        for x, (words, ends) in level.items():
+            nx = names[x]
+            for u, y in zip(words, ends):
+                nu, ny = nx[u], names[y]
+                for v in tails[y]:   # "u then v" is the composite v∘u
+                    compose[(ny[v], nu)] = nx[u + v]
+    return FinCategory(objects, homs, compose,
+                       {x: names[x][""] for x in objects})
 
 
 def free_act(vertex_set, m_max: int) -> FinCategory:
     """The free length-bounded category on a set: a morphism v0 -> v1 is a
-    sequence (w_0=v0, ..., w_m=v1) with 1 <= m <= m_max, composed by
-    concatenation.
-
-    Length-0 sequences are included as the identities, so the result is an
-    honest category; composites that would exceed the bound are absent from
-    the table, so `compose` returns None for them.
-    """
+    sequence (w_0=v0, ..., w_m=v1), 0 <= m <= m_max, named "w_0>...>w_m"
+    and composed by concatenation; composites past the bound are absent."""
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     vs = tuple(vertex_set)
-    homs = {}
-    seq_of = {}
-    for m in range(0, m_max + 1):
-        for seq in itertools.product(vs, repeat=m + 1):
-            name = _seq_name(seq)
-            homs.setdefault((seq[0], seq[-1]), []).append(name)
-            seq_of[name] = seq
-    compose = {}
-    for f, fs in seq_of.items():
-        for g, gs in seq_of.items():
-            if fs[-1] == gs[0] and len(fs) + len(gs) - 2 <= m_max:
-                compose[(g, f)] = _seq_name(fs + gs[1:])
-    units = {v: _seq_name((v,)) for v in vs}
-    return FinCategory(vs, {k: tuple(v) for k, v in homs.items()}, compose, units)
+    return _free_category(vs, {v: [(">" + w, w) for w in vs] for v in vs},
+                          m_max, lambda v, word: v + word)
 
 
 class Functor:
@@ -671,17 +683,16 @@ class Functor:
         self.on_morphisms = dict(on_morphisms)
 
     def validate(self):
-        report = []
         src, tgt = self.source, self.target
-        for x in src.objects:
-            if self.on_objects.get(x) not in tgt.objects:
-                report.append(f"object {x} has no image")
+        report = [f"object {x} has no image" for x in src.objects
+                  if self.on_objects.get(x) not in tgt.objects]
+        if report:   # the endpoint checks below read the object images
+            return report
         for m in src.morphisms():
             fm = self.on_morphisms.get(m)
-            if fm is None:
+            if fm not in tgt._src:
                 report.append(f"morphism {m} has no image")
-                continue
-            if (tgt.src(fm) != self.on_objects[src.src(m)]
+            elif (tgt.src(fm) != self.on_objects[src.src(m)]
                     or tgt.tgt(fm) != self.on_objects[src.tgt(m)]):
                 report.append(f"image of {m} has wrong endpoints")
         if report:

@@ -393,8 +393,34 @@ def test_check_verb_runs_named_suite(capsys):
 
 
 def test_check_verb_rejects_unknown_suite(capsys):
-    with pytest.raises(SystemExit):
-        main(["check", "--suite", "nope"])
+    code, out = run(capsys, "check", "--suite", "nope")
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "schema"
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["tc0", "--category", "c.json", "--bogus"], "--bogus"),
+    (["hh", "--algebra", "a.json", "--max-degree", "x"], "--max-degree"),
+    (["check", "--suite", "nope"], "nope"),
+    (["tc0"], "--category"),
+    ([], "verb"),
+])
+def test_usage_errors_are_json_schema_errors(argv, named, capsys):
+    """A bad invocation exits 2 with one JSON schema error on stdout, as a
+    bad input file does, and writes no argparse usage text."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "schema" and named in error["message"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["tc0", "--help"]])
+def test_help_still_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: strathom")
 
 
 def test_env_cache_dir_is_used(inputs, capsys, tmp_path, monkeypatch):

@@ -117,18 +117,28 @@ def test_enriched_agrees_with_cartesian_route():
 
 def test_point_plus_circle_of_idempotent():
     m = disjoint_union(d0(), smooth_circle())
-    assert len(facthom_set_pi0(m, walking_idempotent())) == 2
+    assert facthom_set_pi0(m, walking_idempotent()).cardinality == 2
 
 
 def test_two_circles_of_z4():
     m = disjoint_union(smooth_circle(), smooth_circle())
     cat = monoid_category(*cyclic_group_table(4))
-    assert len(facthom_set_pi0(m, cat)) == 16
+    assert facthom_set_pi0(m, cat).cardinality == 16
 
 
 def test_empty_manifold_gives_singleton():
     m = GraphManifold((), (), 0)
-    assert len(facthom_set_pi0(m, walking_idempotent())) == 1
+    assert facthom_set_pi0(m, walking_idempotent()).cardinality == 1
+
+
+def test_count_past_sys_maxsize_is_exact():
+    """64 circles of the walking idempotent have 2^64 labellings, past
+    `sys.maxsize`: `cardinality` is exact, and there is no `len` to
+    overflow."""
+    value = facthom_set_pi0(GraphManifold((), (), 64), walking_idempotent())
+    assert value.cardinality == 2 ** 64 == 18446744073709551616
+    with pytest.raises(TypeError):
+        len(value)
 
 
 def test_circles_are_one_factor_with_a_multiplicity_in_product_order():

@@ -435,6 +435,60 @@ def test_diagram_breaking_one_composite_is_reported():
     assert report == ["functoriality fails at (1<=2,0<=1) on 'a'"]
 
 
+_ARROW = poset_category(("x", "y"), lambda a, b: a <= b)
+
+
+def _arrow_with(units=None, compose=()):
+    """The arrow category x -> y with its units replaced and composition
+    table entries overridden."""
+    return FinCategory(_ARROW.objects, _ARROW.homs,
+                       {**_ARROW.compose_table, **dict(compose)},
+                       _ARROW.units if units is None else units)
+
+
+_SETS = {"x": (0, 1), "y": ("a",)}
+_MAPS = {"x<=x": {0: 0, 1: 1}, "y<=y": {"a": "a"}, "x<=y": {0: "a", 1: "a"}}
+_ID = {m: m for m in _ARROW.morphisms()}
+# each datum has exactly one finding, and the report is exactly that finding
+_INVALID = [
+    (_arrow_with(units={"y": "y<=y"}), "missing unit for x"),
+    (_arrow_with(units={"x": "x<=y", "y": "y<=y"}),
+     "unit x<=y of x is not an endomorphism of x"),
+    (_arrow_with(compose={("x<=y", "x<=y"): "x<=y"}),
+     "entry (x<=y,x<=y) is not composable"),
+    (_arrow_with(compose={("x<=y", "x<=x"): "x<=x"}),
+     "composite x<=x of (x<=y,x<=x) has wrong endpoints"),
+    (SetDiagram(discrete_category(("x",)), {}, {"id_x": {}}),
+     "no value set at object x"),
+    (SetDiagram(_ARROW, _SETS, {m: _MAPS[m] for m in ("x<=x", "y<=y")}),
+     "no function at morphism x<=y"),
+    (SetDiagram(_ARROW, _SETS, {**_MAPS, "x<=y": {0: "a"}}),
+     "function at x<=y has wrong domain"),
+    (SetDiagram(_ARROW, _SETS, {**_MAPS, "x<=y": {0: "a", 1: "b"}}),
+     "function at x<=y has wrong codomain"),
+    # an idempotent, so the composites are still preserved
+    (SetDiagram(_ARROW, _SETS, {**_MAPS, "x<=x": {0: 0, 1: 0}}),
+     "unit at x is not the identity function"),
+    (Functor(_ARROW, _ARROW, {"y": "y"}, _ID), "object x has no image"),
+    (Functor(_ARROW, _ARROW, {"x": "x", "y": "y"},
+             {m: m for m in ("x<=x", "y<=y")}), "morphism x<=y has no image"),
+    (Functor(_ARROW, _ARROW, {"x": "x", "y": "y"}, {**_ID, "x<=y": "ghost"}),
+     "morphism x<=y has no image"),
+    (Functor(_ARROW, _ARROW, {"x": "x", "y": "y"}, {**_ID, "x<=y": "x<=x"}),
+     "image of x<=y has wrong endpoints"),
+    (Functor(walking_idempotent(), walking_idempotent(), {"*": "*"},
+             {"id": "phi", "phi": "phi"}), "unit of * not preserved"),
+]
+
+
+@pytest.mark.parametrize("datum, finding", _INVALID, ids=[
+    f"{type(datum).__name__}: {finding}" for datum, finding in _INVALID])
+def test_validator_reports_exactly_its_finding(datum, finding):
+    report = (validate_category(datum) if isinstance(datum, FinCategory)
+              else datum.validate())
+    assert report == [finding]
+
+
 def test_functor_breaking_one_composite_is_reported():
     # phi∘phi = phi in the walking idempotent, but 1 + 1 = 0 in Z/2
     z2 = monoid_category(*cyclo.cyclic_group_table(2))
@@ -503,6 +557,65 @@ def test_free_act_composition_is_concatenation():
 def test_free_act_overflow_marked_not_silently_dropped():
     cat = free_act(("a",), 1)
     assert cat.compose("a>a", "a>a") is None
+
+
+def _all_pairs_free_act(vertex_set, m_max):
+    """Oracle for `fincat.free_act`: the vertex sequences of at most m_max
+    steps, by length and then in product order, with every pair of them
+    composed and the composites past the bound dropped."""
+    vs = tuple(vertex_set)
+    homs, seq_of = {}, {}
+    for m in range(m_max + 1):
+        for seq in itertools.product(vs, repeat=m + 1):
+            name = ">".join(seq)
+            homs.setdefault((seq[0], seq[-1]), []).append(name)
+            seq_of[name] = seq
+    compose = {}
+    for f, fs in seq_of.items():
+        for g, gs in seq_of.items():
+            if fs[-1] == gs[0] and len(fs) + len(gs) - 2 <= m_max:
+                compose[(g, f)] = ">".join(fs + gs[1:])
+    return FinCategory(vs, homs, compose, {v: v for v in vs})
+
+
+def _all_pairs_free_monoid(m, max_len):
+    """Oracle for `cyclo.free_monoid_category`: the words of length at most
+    max_len, by length and then in product order, with every pair of them
+    composed and the composites past the bound dropped (the filter is
+    hoisted: `fits[k]` holds the words of length at most k)."""
+    letters = [chr(ord("a") + i) for i in range(m)]
+    words = ["".join(w) for n in range(max_len + 1)
+             for w in itertools.product(letters, repeat=n)]
+    fits = {k: [v for v in words if len(v) <= k] for k in range(max_len + 1)}
+    compose = {}
+    for u in words:
+        for v in fits[max_len - len(u)]:
+            compose[(v or "1", u or "1")] = u + v or "1"
+    return FinCategory(("*",), {("*", "*"): [w or "1" for w in words]},
+                       compose, {"*": "1"})
+
+
+def _tables(cat):
+    """Everything a construction outputs, in its order."""
+    return (cat.objects, list(cat.homs.items()),
+            list(cat.compose_table.items()), list(cat.units.items()))
+
+
+@pytest.mark.parametrize("vs", [("a",), ("a", "b"), ("b", "a"),
+                                ("x", "y", "z"), ("z", "x", "y")])
+def test_free_act_matches_the_all_pairs_oracle(vs):
+    for m_max in range(1, 5):
+        assert _tables(free_act(vs, m_max)) \
+            == _tables(_all_pairs_free_act(vs, m_max))
+    with pytest.raises(ValueError):
+        free_act(vs, 0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_free_monoid_matches_the_all_pairs_oracle(m):
+    for max_len in range(9):
+        assert _tables(cyclo.free_monoid_category(m, max_len)) \
+            == _tables(_all_pairs_free_monoid(m, max_len))
 
 
 def test_power_is_the_repeated_composite():

@@ -25,6 +25,23 @@ def test_validate_reports_dangling_endpoint():
     assert any("dangling" in r for r in validate_manifold(m))
 
 
+# each manifold has exactly one finding, and the report is exactly that finding
+_INVALID_MANIFOLDS = [
+    (GraphManifold(("v", "v"), ()), "duplicate vertex id"),
+    (GraphManifold(("v",), (("e", "v", "v"), ("e", "v", "v"))),
+     "duplicate edge id e"),
+    (GraphManifold(("v",), (("e", "ghost", "v"),)),
+     "edge e has dangling src ghost"),
+    (GraphManifold((), (), -1), "negative circle count"),
+]
+
+
+@pytest.mark.parametrize("m, finding", _INVALID_MANIFOLDS, ids=[
+    finding for _, finding in _INVALID_MANIFOLDS])
+def test_validate_manifold_reports_exactly_its_finding(m, finding):
+    assert validate_manifold(m) == [finding]
+
+
 def test_disk_stratified_iff_no_circles():
     assert d1().is_disk_stratified
     assert not smooth_circle().is_disk_stratified
