@@ -1,8 +1,10 @@
 """Exact linear algebra over Z, Q and prime fields.
 
 This is the arithmetic core behind the chain-complex engines.  Everything is
-exact: integers are arbitrary-precision, rationals are `fractions.Fraction`,
-and F_p elements are ints.  No floating point anywhere.
+exact: integers are arbitrary-precision, an integral Q coefficient is a plain
+int and only a true rational is a `fractions.Fraction`, and F_p elements are
+ints.  No floating point anywhere, and no true division: `a / b` on two ints
+would give a float.
 
 Coefficient arithmetic runs on these plain numbers with `+ - *`; over F_p
 they are left unreduced while a vector is being built.  A `Ring` only
@@ -56,7 +58,7 @@ class Ring:
 
     def show(self, x) -> str:
         x = self.normalize(x)
-        if isinstance(x, Fraction) and x.denominator != 1:
+        if isinstance(x, Fraction):
             return f"{x.numerator}/{x.denominator}"
         return str(int(x))
 
@@ -87,7 +89,12 @@ class RingQ(Ring):
     is_field = True
 
     def normalize(self, x):
-        return Fraction(x)
+        """An int for an integral value, else a `Fraction` in lowest terms:
+        the two compare and hash alike, and rank reads both."""
+        if type(x) is int:
+            return x
+        x = Fraction(x)
+        return x.numerator if x.denominator == 1 else x
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

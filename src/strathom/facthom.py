@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from fractions import Fraction
 
 from .exactla import SparseMat, chain_homology
@@ -331,18 +330,16 @@ class SetCyclicBar(SimplicialFinSet):
 # The linear structure maps, as functions of the bases of the levels they
 # read and write (`bases[n]`, and `index[n]` mapping it to positions).
 
-def _face_columns(cat, bases, index, n, i, project=None):
-    """d_i : C_n -> C_{n-1} as a list of columns, by `_set_face`'s formula;
-    `project(x, z, vec)` rebases a composite landing in a slot j >= 1."""
+def _face_columns(cat, bases, index, n, i):
+    """d_i : C_n -> C_{n-1} as a list of columns, by `_set_face`'s formula."""
     target = index[n - 1]
     cols = []
     for xs, gs in bases[n]:
         j = i
         if i == n:
             (xs, gs), j = _rotate(xs, gs), 0
-        x, z = xs[j], xs[(j + 2) % (n + 1)]
-        vec = cat.compose_basis(x, xs[j + 1], z, gs[j], gs[j + 1])
-        vec = project(x, z, vec) if j and project else vec
+        vec = cat.compose_basis(xs[j], xs[j + 1], xs[(j + 2) % (n + 1)],
+                                gs[j], gs[j + 1])
         new_xs = xs[:j + 1] + xs[j + 2:]
         col = {}
         for k, c in vec.items():
@@ -408,9 +405,12 @@ class ChainComplexBundle:
     In an endomorphism slot i >= 1, Ā is based by hom(x, x)'s basis less
     the pivot b*, the first element whose unit coefficient is invertible,
     and a vector v landing there is projected to v - (v_(b*)/u_(b*))·u, b*
-    dropped.  The boundary is b = sum (-1)^i d_i, Connes' operator is
-    B = sum_(k=0..n) (-1)^(nk) s tau^k (s puts the unit in front, tau
-    rotates), columns are normalized by `Ring.reduce`, and B is lazy."""
+    dropped.  The boundary is b = sum (-1)^i d_i, built one column per
+    basis element in one pass over its faces; each face's product comes
+    from a per-complex memo, already projected for a slot j >= 1.  Connes'
+    operator is B = sum_(k=0..n) (-1)^(nk) s tau^k (s puts the unit in
+    front, tau rotates), columns are normalized by `Ring.reduce` (over Q an
+    integral coefficient is an int), and B is lazy."""
 
     def __init__(self, cat: LinearCategory, n_max: int):
         self.category = cat = _with_unit_coordinates(cat)
@@ -431,6 +431,7 @@ class ChainComplexBundle:
             for n in range(n_max + 1)]
         self.index = [{b: i for i, b in enumerate(basis)} for basis in self.bases]
         self.dims = [len(b) for b in self.bases]
+        self._products = {}  # (x, y, z, g, h, j >= 1) -> `_composite`
         self.boundaries = [None]  # b_0 is undefined
         for n in range(1, n_max + 1):
             self.boundaries.append(self._boundary(n))
@@ -449,17 +450,34 @@ class ChainComplexBundle:
             out[k] = out.get(k, 0) - c * w
         return out
 
+    def _composite(self, x, y, z, g, h, in_bar_slot):
+        """The items of g then h in hom(x, z), projected when the product
+        lands in a slot j >= 1."""
+        vec = self.category.compose_basis(x, y, z, g, h)
+        return tuple((self._project(x, z, vec) if in_bar_slot else vec).items())
+
     def _boundary(self, n) -> SparseMat:
-        total = [dict() for _ in range(self.dims[n])]
-        for i in range(n + 1):
-            faces = _face_columns(self.category, self.bases, self.index, n, i,
-                                  self._project)
-            op = operator.sub if i % 2 else operator.add
-            for acc, col in zip(total, faces):
-                for row, v in col.items():
-                    acc[row] = op(acc.get(row, 0), v)
-        return SparseMat.from_columns(self.dims[n - 1],
-                                      map(self.ring.reduce, total))
+        """b = sum (-1)^i d_i, one column per basis element, each written in
+        one pass over its faces; d_n = d_0 ∘ rotation."""
+        target, products = self.index[n - 1], self._products
+        cols = []
+        for basis_xs, basis_gs in self.bases[n]:
+            col = {}
+            for i in range(n + 1):
+                xs, gs, j = ((basis_xs, basis_gs, i) if i < n
+                             else (*_rotate(basis_xs, basis_gs), 0))
+                key = (xs[j], xs[j + 1], xs[(j + 2) % (n + 1)],
+                       gs[j], gs[j + 1], j > 0)
+                items = products.get(key)
+                if items is None:
+                    items = products[key] = self._composite(*key)
+                new_xs, head, tail = xs[:j + 1] + xs[j + 2:], gs[:j], gs[j + 2:]
+                sign = -1 if i % 2 else 1
+                for k, c in items:
+                    row = target[(new_xs, head + (k,) + tail)]
+                    col[row] = col.get(row, 0) + sign * c
+            cols.append(self.ring.reduce(col))
+        return SparseMat.from_columns(self.dims[n - 1], cols)
 
     def _connes_b(self, n) -> SparseMat:
         # g_0 lands in slot k + 1 of s tau^k, so it alone is projected

@@ -668,6 +668,10 @@ def free_act(vertex_set, m_max: int) -> FinCategory:
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     vs = tuple(vertex_set)
+    if len(set(vs)) != len(vs):
+        raise ValueError(f"vertex names repeat in {vs!r}")
+    if any(">" in v for v in vs):
+        raise ValueError(f"a vertex name contains '>' in {vs!r}")
     return _free_category(vs, {v: [(">" + w, w) for w in vs] for v in vs},
                           m_max, lambda v, word: v + word)
 

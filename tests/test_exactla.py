@@ -61,6 +61,31 @@ def test_show_round_trips():
     assert ZZ.show(ZZ.parse("-7")) == "-7"
 
 
+@pytest.mark.parametrize("value, expected", [
+    (0, 0), (-7, -7), (True, 1), (Fraction(6, 3), 2), (Fraction(-4, 2), -2),
+    (Fraction(0, 5), 0)])
+def test_q_normalizes_an_integral_value_to_an_int(value, expected):
+    x = QQ.normalize(value)
+    assert type(x) is int and x == expected
+
+
+@pytest.mark.parametrize("value", [Fraction(3, 4), Fraction(-6, 4),
+                                   Fraction(1, 3)])
+def test_q_keeps_a_true_rational_a_fraction(value):
+    x = QQ.normalize(value)
+    assert type(x) is Fraction and x == value and x.denominator != 1
+
+
+@pytest.mark.parametrize("text, shown", [
+    ("3/4", "3/4"), ("-6/4", "-3/2"), ("6/3", "2"), ("-5", "-5"), ("0/7", "0")])
+def test_q_parse_and_show_round_trip(text, shown):
+    x = QQ.parse(text)
+    assert x == Fraction(*map(int, text.split("/")))
+    assert type(x) is (Fraction if "/" in shown else int)
+    assert QQ.show(x) == shown and QQ.parse(QQ.show(x)) == x
+    assert hash(x) == hash(Fraction(x))
+
+
 def test_sparse_mat_mul_and_apply():
     a = sparse_from_dense(ZZ, [[1, 2], [0, 1]])
     b = sparse_from_dense(ZZ, [[1, 0], [3, 1]])

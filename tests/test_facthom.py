@@ -702,6 +702,41 @@ def test_normalized_groups_equal_the_unnormalized_oracle(ring):
         assert negative_cyclic_homology(alg, 1, 1)["groups"] == neg, seed
 
 
+def _rational_cases():
+    """(name, an algebra with non-integral scalars, an integral algebra
+    isomorphic to it): a basis element b standing for c·b."""
+    q, z3, m2 = (ground_ring_algebra(QQ),
+                 group_algebra(QQ, *cyclic_group_table(3)),
+                 matrix_algebra(QQ, 2))
+    return [
+        ("Q, e = 2·1: e∘e = 2·e, 1 = (1/2)·e", _rescaled(q, "1", 2), q),
+        ("Q, e = (1/2)·1: e∘e = (1/2)·e, 1 = 2·e",
+         _rescaled(q, "1", Fraction(1, 2)), q),
+        ("Q[Z/3], 1 for (3/2)·1", _rescaled(z3, "0", Fraction(3, 2)), z3),
+        ("Q[Z/3], g for (2/3)·g", _rescaled(z3, "1", Fraction(2, 3)), z3),
+        ("M2(Q), E01 for (1/2)·E01", _rescaled(m2, "E01", Fraction(1, 2)), m2),
+    ]
+
+
+@pytest.mark.parametrize("alg, integral", [c[1:] for c in _rational_cases()],
+                         ids=[c[0] for c in _rational_cases()])
+def test_rational_scalars_give_the_groups_of_the_integral_algebra(alg,
+                                                                  integral):
+    # the algebra goes through JSON, so its scalars are parsed from "p/q";
+    # its groups must be those of the integral algebra it is isomorphic to,
+    # and those of the unnormalized complex of `LinearCyclicLevel`s
+    from strathom.enrich import validate_linear_category
+    alg = _json_copy(alg)
+    scalars = [c for table in alg.sc.values() for vec in table.values()
+               for c in vec.values()]
+    scalars += [c for vec in alg.units.values() for c in vec.values()]
+    assert any(type(c) is Fraction for c in scalars)
+    assert validate_linear_category(alg) == []
+    hh, hc, _ = _unnormalized_groups(alg, 3, 3, 0, 0)
+    assert hochschild_homology(alg, 3) == hh == hochschild_homology(integral, 3)
+    assert cyclic_homology(alg, 3) == hc == cyclic_homology(integral, 3)
+
+
 def test_z_unit_without_a_unit_coordinate_is_rebased():
     # Z x Z in the basis v1 = (-1, 2), v2 = (1, -1): the unit (1, 1) is
     # 2 v1 + 3 v2, and (p, q) = (p + q) v1 + (2p + q) v2

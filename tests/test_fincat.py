@@ -611,6 +611,18 @@ def test_free_act_matches_the_all_pairs_oracle(vs):
         free_act(vs, 0)
 
 
+def test_free_act_rejects_repeated_vertex_names():
+    """Two vertices "a" would give the object "a" twice."""
+    with pytest.raises(ValueError, match="repeat"):
+        free_act(("a", "a"), 1)
+
+
+def test_free_act_rejects_vertex_names_with_the_separator():
+    """The path a → b would be named "a>b", the unit of the vertex "a>b"."""
+    with pytest.raises(ValueError, match="'>'"):
+        free_act(("a", "a>b", "b"), 1)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_free_monoid_matches_the_all_pairs_oracle(m):
     for max_len in range(9):
