@@ -21,8 +21,8 @@ from .indexing import (CoverOperator, ParacyclicOp, RefinementCategoryDescriptor
                        delta_op_factorize, disk_refinement_category,
                        enumerate_paracyclic, rotation, standard_interval)
 from .enrich import (LinearCategory, Module, corr_pushforward, group_algebra,
-                     matrix_algebra, monoid_algebra, nerve, tensor_all_sets,
-                     validate_linear_category)
+                     linearize, matrix_algebra, monoid_algebra, nerve,
+                     tensor_all_sets, validate_linear_category)
 from .facthom import (ChainComplexBundle, LinearCyclicLevel, SetCyclicBar,
                       TraceClassTable, cart_facthom_disk, cyclic_homology,
                       enr_facthom_disk, facthom_set_pi0, hochschild_homology,

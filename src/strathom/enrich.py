@@ -16,7 +16,7 @@ from collections import Counter
 from . import manifold
 from .exactla import Ring, SparseMat, cokernel_invariants, ring_from_name
 from .fincat import (FinCategory, SimplicialFinSet, check_json,
-                     repeated_names)
+                     check_key_names, monoid_category, repeated_names)
 from .manifold import FinSpan
 
 
@@ -249,6 +249,10 @@ class LinearCategory:
         return self.units.get(x, {})
 
     def to_json_dict(self):
+        check_key_names("object", self.objects, ("->", ","))
+        check_key_names("basis element", itertools.chain.from_iterable(
+            self.hom_basis.values()), (",",))
+
         def show_vec(vec):
             return {str(k): self.ring.show(v) for k, v in sorted(vec.items(),
                                                                  key=repr)}
@@ -358,6 +362,17 @@ def validate_linear_category(cat: LinearCategory):
 
 # -- algebra builders ------------------------------------------------------------
 
+def linearize(cat: FinCategory, ring) -> LinearCategory:
+    """The category algebra k[C]: the morphism names as basis, "i then j"
+    the one composite `compose_table[(j, i)]`, and 0 where the table has
+    none (a length-bounded free monoid gives the truncated free algebra)."""
+    sc = {}
+    for (j, i), h in cat.compose_table.items():
+        sc.setdefault((cat.src(i), cat.tgt(i), cat.tgt(j)), {})[(i, j)] = {h: 1}
+    return LinearCategory(ring, cat.objects, cat.homs, sc,
+                          {x: {u: 1} for x, u in cat.units.items()})
+
+
 def algebra_from_table(ring, basis, table, unit_vec) -> LinearCategory:
     """One-object linear category from multiplication structure constants;
     table[(i, j)] expands i·j (i first)."""
@@ -366,7 +381,7 @@ def algebra_from_table(ring, basis, table, unit_vec) -> LinearCategory:
 
 
 def ground_ring_algebra(ring) -> LinearCategory:
-    return algebra_from_table(ring, ("1",), {("1", "1"): {"1": 1}}, {"1": 1})
+    return monoid_algebra(ring, ("1",), {("1", "1"): "1"}, "1")
 
 
 def matrix_algebra(ring, n: int) -> LinearCategory:
@@ -385,8 +400,7 @@ def matrix_algebra(ring, n: int) -> LinearCategory:
 
 def monoid_algebra(ring, elements, mult, unit) -> LinearCategory:
     """The monoid algebra: basis the elements, product from the table."""
-    table = {(a, b): {mult[(a, b)]: 1} for a in elements for b in elements}
-    return algebra_from_table(ring, elements, table, {unit: 1})
+    return linearize(monoid_category(elements, mult, unit), ring)
 
 
 def group_algebra(ring, elements, mult, unit) -> LinearCategory:

@@ -14,9 +14,10 @@ import itertools
 import math
 from fractions import Fraction
 
-from .exactla import SparseMat, chain_homology
+from .exactla import SparseMat, ZZ, chain_homology
 from .fincat import FinCategory, SimplicialFinSet, UnionFind, generating_set
-from .enrich import LinearCategory, Module, is_separable, tensor_all_sets
+from .enrich import (LinearCategory, Module, is_separable, linearize,
+                     tensor_all_sets)
 from .manifold import GraphManifold
 
 
@@ -85,11 +86,11 @@ def enr_facthom_disk(r: GraphManifold, cat, groupoid_isos=()):
     out.sort()
     if not groupoid_isos:
         return tuple(out) if isinstance(cat, FinCategory) else Module(cat.ring, out)
-    transports = _transports(cat, verts, edges, out, groupoid_isos)
     if isinstance(cat, FinCategory):
+        isos = [(cat.src(a), cat.tgt(a), a) for a in groupoid_isos]
         uf = UnionFind(out)
-        for element, image in transports:
-            (moved,) = image  # a Set transport has a single term
+        for element, (moved,) in _transports(linearize(cat, ZZ), verts, edges,
+                                             out, isos):
             uf.union(element, moved)
         return tuple(block[0] for block in uf.classes())
     ring = cat.ring
@@ -99,7 +100,7 @@ def enr_facthom_disk(r: GraphManifold, cat, groupoid_isos=()):
     # the coinvariants are the cokernel of the columns T_alpha - 1
     index = {element: i for i, element in enumerate(out)}
     cols = []
-    for element, image in transports:
+    for element, image in _transports(cat, verts, edges, out, groupoid_isos):
         col = {index[element]: -1}
         for label, c in image.items():
             col[index[label]] = col.get(index[label], 0) + c
@@ -114,22 +115,16 @@ def _transports(cat, verts, edges, elements, isos):
 
     The labelling changes at that vertex; an edge leaving it is precomposed
     with the inverse and an edge entering it postcomposed with the
-    isomorphism.  Set isomorphisms are morphism names, inverted by
-    `FinCategory.inverse`, and an image has one term.  Linear ones are
-    triples (x, y, b), b a basis element of hom(x, y), inverted by a search
-    of hom(y, x)'s basis.
+    isomorphism.  The isomorphisms are triples (x, y, b), b a basis element
+    of hom(x, y), inverted by a search of hom(y, x)'s basis.  A Set category
+    comes as `linearize(cat, ZZ)`, where every image has one term.
     """
-    if isinstance(cat, FinCategory):
-        def compose(x, y, z, u, v):  # basis vectors of coefficient 1
-            return {cat.compose(j, i): 1 for i in u for j in v}
-        resolved = [(cat.src(a), cat.tgt(a), a, cat.inverse(a)) for a in isos]
-    else:
-        compose = cat.compose_vectors
-        resolved = [(x, y, b, next((
-            w for w in cat.hom(y, x)
-            if cat.compose_basis(x, y, x, b, w) == cat.unit_vector(x)
-            and cat.compose_basis(y, x, y, w, b) == cat.unit_vector(y)), None))
-            for x, y, b in isos]
+    compose = cat.compose_vectors
+    resolved = [(x, y, b, next((
+        w for w in cat.hom(y, x)
+        if cat.compose_basis(x, y, x, b, w) == cat.unit_vector(x)
+        and cat.compose_basis(y, x, y, w, b) == cat.unit_vector(y)), None))
+        for x, y, b in isos]
     for _, _, b, binv in resolved:
         if binv is None:
             raise ValueError(

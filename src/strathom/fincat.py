@@ -37,6 +37,17 @@ def check_json(value, shape, field):
     return value
 
 
+def check_key_names(kind, names, separators):
+    """Raise ValueError at the first of `names` that holds one of the
+    `separators` of the JSON keys it is written into: it would read back
+    as another category."""
+    for name in names:
+        for sep in separators:
+            if sep in name:
+                raise ValueError(f"{kind} {name!r} holds {sep!r}, which "
+                                 "separates the names in a JSON key")
+
+
 def repeated_names(names):
     """The names listed more than once, each once, in order of appearance."""
     return [x for x, count in Counter(names).items() if count > 1]
@@ -152,6 +163,8 @@ class FinCategory:
     # -- serialization ----------------------------------------------------
 
     def to_json_dict(self):
+        check_key_names("object", self.objects, ("->",))
+        check_key_names("morphism", self.morphisms(), ("*",))
         return {
             "objects": list(self.objects),
             "homs": {f"{s}->{t}": list(ms) for (s, t), ms in sorted(self.homs.items())},

@@ -352,6 +352,57 @@ def test_backend_mismatch_is_validation_error(inputs, capsys):
     assert code == 1
 
 
+def _rendered(result):
+    """The whole stdout `main` writes for `result`."""
+    return json.dumps(result, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv, code, error", [
+    (["thh-set", "--category", "{q}"], 2,
+     {"type": "schema", "message": "{q}: expected a Set-enriched category, "
+                                   "found a linear one (has 'ring')"}),
+    (["hh", "--algebra", "{idem}"], 2,
+     {"type": "schema", "message": "{idem}: linear input needs a 'ring' "
+                                   "field"}),
+    (["tc0", "--category", "{idem}", "--degrees", "2,x"], 2,
+     {"type": "schema", "message": "bad degree list '2,x'"}),
+    (["facthom", "--manifold", "{s1}", "--category", "{idem}",
+      "--backend", "Q"], 1,
+     {"type": "validation", "report": [
+         "--backend Q given but the category file is Set-enriched"]}),
+    (["facthom", "--manifold", "{s1}", "--category", "{q}"], 1,
+     {"type": "validation", "report": [
+         "linear factorization homology over circles is the hh verb"]}),
+], ids=["thh-set-on-linear", "hh-on-set", "tc0-bad-degree",
+        "facthom-linear-backend-on-set", "facthom-linear-over-a-circle"])
+def test_input_contract_errors_are_the_whole_stdout(inputs, capsys, argv,
+                                                    code, error):
+    """Each error is the one JSON object on stdout, with nothing on stderr;
+    "{q}" and the like stand for the paths of the `inputs` files."""
+    assert main([arg.format(**inputs) for arg in argv]) == code
+    captured = capsys.readouterr()
+    error = {k: v.format(**inputs) if k == "message" else v
+             for k, v in error.items()}
+    assert (captured.out, captured.err) == (_rendered({"error": error}), "")
+
+
+def test_check_exits_1_when_a_suite_fails(capsys, monkeypatch):
+    from strathom import cli
+    from strathom.checks import Report
+
+    def failing_suite(name):
+        report = Report(name)
+        report.check(True, "kept")
+        report.check(False, "broken")
+        return report.as_dict()
+    monkeypatch.setattr(cli, "run_suite", failing_suite)
+    assert main(["check", "--suite", "segal"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (_rendered({
+        "verb": "check", "suite": "segal", "passed": 1, "failed": 1,
+        "failures": ["broken"]}), "")
+
+
 def test_repeated_runs_are_byte_identical(inputs, capsys, tmp_path):
     cache = str(tmp_path / "cache")
     outs = []

@@ -7,7 +7,8 @@ import pytest
 
 from strathom import checks, enrich, manifold
 from strathom.exactla import QQ, ZZ, RingFp
-from strathom.enrich import (LinearCategory, algebra_from_table,
+from strathom.enrich import (LinearCategory, algebra_from_table, linearize,
+                             monoid_algebra,
                              commutator_cokernel_invariants,
                              corr_pushforward, corr_pushforward_index_check,
                              corr_pushforward_witness,
@@ -18,10 +19,14 @@ from strathom.enrich import (LinearCategory, algebra_from_table,
                              truncated_polynomial_algebra,
                              validate_linear_category,
                              Product)
-from strathom.fincat import (poset_category, validate_category,
-                             walking_idempotent)
+from strathom.fincat import (FactorizationSystem, FinCategory, Functor,
+                             discrete_category, free_cocart_second_factor,
+                             monoid_category, poset_category,
+                             validate_category, walking_idempotent)
 from strathom.manifold import FinSpan, compose_spans
-from strathom.cyclo import cyclic_group_table
+from strathom.cyclo import (cyclic_group_table, free_monoid_category,
+                            group_category, quaternion_group_table,
+                            symmetric_group_table)
 
 from helpers import product_algebra, zero_algebra
 
@@ -50,6 +55,19 @@ def test_broken_associativity_is_listed():
     alg = algebra_from_table(QQ, basis, table, {"e": 1})
     report = validate_linear_category(alg)
     assert any("associativity" in r for r in report)
+
+
+@pytest.mark.parametrize("product, finding", [
+    (lambda a, b: b, "right unit law fails at f"),
+    (lambda a, b: a, "left unit law fails at f"),
+], ids=["right-zero", "left-zero"])
+def test_a_one_sided_unit_is_reported_exactly(product, finding):
+    # the right-zero semigroup {e, f}, ab = b, is associative and e is a
+    # left unit only; the left-zero one, ab = a, has e a right unit only
+    basis = ("e", "f")
+    table = {(a, b): {product(a, b): 1} for a in basis for b in basis}
+    alg = algebra_from_table(QQ, basis, table, {"e": 1})
+    assert validate_linear_category(alg) == [finding]
 
 
 def test_matrix_algebra_and_group_algebra_validate():
@@ -379,6 +397,56 @@ def test_nerve_satisfies_segal_up_to_four():
             assert nv.is_segal(n)
 
 
+# -- linearization ----------------------------------------------------------------------
+
+def _hand_written_monoid_algebra(ring, elements, mult, unit):
+    """The monoid algebra written out from the multiplication table: the
+    independent oracle for `linearize` on a monoid category."""
+    table = {(a, b): {mult[(a, b)]: 1} for a in elements for b in elements}
+    return algebra_from_table(ring, elements, table, {unit: 1})
+
+
+MONOID_TABLES = [cyclic_group_table(n) for n in range(1, 6)] + [
+    symmetric_group_table(3), quaternion_group_table(),
+    (("id", "phi"), walking_idempotent().compose_table, "id"),
+] + [checks.transformation_monoid(2, seed) for seed in range(8)]
+
+
+def _presentation(cat):
+    if isinstance(cat, FinCategory):
+        return (cat.objects, cat.homs, cat.compose_table, cat.units)
+    return (cat.ring, cat.objects, cat.hom_basis, cat.sc, cat.units)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, RingFp(2)], ids=["Z", "Q", "F2"])
+def test_linearize_of_a_monoid_is_the_hand_written_monoid_algebra(ring):
+    for table in MONOID_TABLES:
+        oracle = _presentation(_hand_written_monoid_algebra(ring, *table))
+        assert _presentation(linearize(monoid_category(*table), ring)) \
+            == oracle
+        assert _presentation(monoid_algebra(ring, *table)) == oracle
+
+
+def test_linearize_keeps_hom_order_and_empty_homs_and_drops_missing_composites():
+    cat = FinCategory(("x", "y"), {("x", "x"): ("ix",), ("y", "y"): ("iy",),
+                                   ("y", "x"): (), ("x", "y"): ("g", "f")},
+                      {("ix", "ix"): "ix", ("iy", "iy"): "iy",
+                       ("f", "ix"): "f", ("g", "ix"): "g",
+                       ("iy", "f"): "f", ("iy", "g"): "g"},
+                      {"x": "ix", "y": "iy"})
+    alg = linearize(cat, ZZ)
+    assert alg.objects == ("x", "y")
+    assert alg.hom_basis == cat.homs
+    assert alg.compose_basis("x", "x", "y", "ix", "g") == {"g": 1}
+    assert alg.units == {"x": {"ix": 1}, "y": {"iy": 1}}
+    assert validate_linear_category(alg) == []
+    # words of length <= 2 in a, b: "ab then a" is past the bound, so 0
+    free = linearize(free_monoid_category(2, 2), QQ)
+    assert free.compose_basis("*", "*", "*", "a", "b") == {"ab": 1}
+    assert free.compose_basis("*", "*", "*", "ab", "a") == {}
+    assert validate_linear_category(free) == []
+
+
 # -- serialization ---------------------------------------------------------------------
 
 def test_linear_category_json_round_trip():
@@ -387,6 +455,60 @@ def test_linear_category_json_round_trip():
     again = LinearCategory.from_json_dict(data)
     assert again.to_json_dict() == data
     assert validate_linear_category(again) == []
+
+
+def _json_round_trip_cases():
+    cats = [c for _, c in checks.small_category_pool()] + [
+        group_category(*symmetric_group_table(3)),
+        group_category(*quaternion_group_table()),
+        free_monoid_category(2, 3)]
+    return cats + [linearize(c, ring) for c in cats for ring in (ZZ, RingFp(5))]
+
+
+def test_categories_and_their_linearizations_round_trip_through_json():
+    for cat in _json_round_trip_cases():
+        data = cat.to_json_dict()
+        again = type(cat).from_json_dict(data)
+        assert again.to_json_dict() == data
+        assert _presentation(again) == _presentation(cat)
+
+
+def _free_cocart_category():
+    """Objects (x,0<=0) and (x,0<=1): names holding a comma."""
+    b = poset_category(("0", "1"), lambda a, c: a <= c)
+    e = discrete_category(("x",))
+    fs = FactorizationSystem(b, frozenset({"0<=0", "1<=1"}),
+                             frozenset(b.morphisms()))
+    cat, _, _ = free_cocart_second_factor(
+        Functor(e, b, {"x": "0"}, {"id_x": "0<=0"}), fs)
+    return cat
+
+
+def _walking_idempotent_named(unit, phi):
+    mult = {(a, b): unit if a == b == unit else phi
+            for a in (unit, phi) for b in (unit, phi)}
+    return monoid_category((unit, phi), mult, unit)
+
+
+@pytest.mark.parametrize("cat, message", [
+    (monoid_category(("i*d",), {("i*d", "i*d"): "i*d"}, "i*d"),
+     "morphism 'i*d' holds '*', which separates the names in a JSON key"),
+    (discrete_category(("a->b",)),
+     "object 'a->b' holds '->', which separates the names in a JSON key"),
+    (linearize(_free_cocart_category(), QQ),
+     "object '(x,0<=0)' holds ',', which separates the names in a JSON key"),
+    (linearize(_walking_idempotent_named("1", "x,y"), QQ),
+     "basis element 'x,y' holds ',', which separates the names in a JSON "
+     "key"),
+], ids=["set-morphism-star", "set-object-arrow", "linear-object-comma",
+        "linear-basis-comma"])
+def test_names_holding_a_key_separator_are_not_written(cat, message):
+    # written, each would read back as another, invalid category
+    assert (validate_category(cat) if isinstance(cat, FinCategory)
+            else validate_linear_category(cat)) == []
+    with pytest.raises(ValueError) as exc:
+        cat.to_json_dict()
+    assert str(exc.value) == message
 
 
 def test_rationals_serialize_as_strings():

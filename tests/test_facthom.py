@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 
 from strathom.checks import (mixed_algebras, random_segal_category,
-                             small_category_pool)
+                             small_category_pool, small_manifold_pool)
 from strathom.exactla import QQ, RingFp, SparseMat, ZZ
 from strathom.enrich import (ground_ring_algebra, group_algebra,
-                             matrix_algebra, nerve,
+                             linearize, matrix_algebra, nerve,
                              truncated_polynomial_algebra,
                              commutator_cokernel_invariants)
 from strathom.facthom import (ChainComplexBundle, LinearCyclicLevel,
@@ -470,6 +470,20 @@ def test_mixed_identity_for_group_algebra_in_low_degree():
     assert cx.validate() == []
 
 
+def test_bundle_with_identities_for_b_and_connes_b_fails_every_identity():
+    # Q[Z/2] has C_n = Q^2 in every degree; the identity in place of each
+    # b and B breaks b b = 0, b B + B b = 0 and B B = 0 wherever checked
+    cx = ChainComplexBundle(group_algebra(QQ, *cyclic_group_table(2)), 3)
+    assert cx.dims == [2, 2, 2, 2]
+    identity = SparseMat.from_columns(2, [{0: 1}, {1: 1}])
+    cx.boundaries = [None] + [identity] * 3
+    cx.connes_b = [identity] * 3
+    assert cx.validate() == [
+        "b b != 0 out of degree 2", "b b != 0 out of degree 3",
+        "b B + B b != 0 at degree 1", "b B + B b != 0 at degree 2",
+        "B B != 0 at degree 0", "B B != 0 at degree 1"]
+
+
 def test_randomized_algebras_satisfy_chain_identities():
     from strathom.checks import random_associative_algebra
     from strathom.enrich import validate_linear_category
@@ -580,38 +594,14 @@ def _json_copy(alg):
     return LinearCategory.from_json_dict(alg.to_json_dict())
 
 
-def _linear_category(ring, homs, products, units):
-    """A linear category whose basis morphisms compose to basis morphisms
-    or to 0: homs[(x, y)] lists hom(x, y), products[(i, j)] = "i then j"."""
-    from strathom.enrich import LinearCategory
-    where = {i: key for key, basis in homs.items() for i in basis}
-    sc = {}
-    for i, (x, y) in where.items():
-        for j, (y2, z) in where.items():
-            if y == y2:
-                k = products.get((i, j))
-                sc.setdefault((x, y, z), {})[(i, j)] = {k: 1} if k else {}
-    objects = sorted({x for key in homs for x in key})
-    return LinearCategory(ring, objects, homs, sc,
-                          {x: {u: 1} for x, u in units.items()})
-
-
 def _chaotic_xy(ring):
     """The linearized chaotic category on {x, y}: one morphism each way."""
-    names = {(a, b): a + b for a in "xy" for b in "xy"}
-    products = {(names[(a, b)], names[(b, c)]): names[(a, c)]
-                for a in "xy" for b in "xy" for c in "xy"}
-    return _linear_category(ring, {k: (v,) for k, v in names.items()},
-                            products, {"x": "xx", "y": "yy"})
+    return linearize(poset_category(("x", "y"), lambda a, b: True), ring)
 
 
 def _a2_path(ring):
     """The A_2 path category: 1 -> 2, nothing back."""
-    homs = {("1", "1"): ("e1",), ("2", "2"): ("e2",), ("1", "2"): ("a",),
-            ("2", "1"): ()}
-    products = {("e1", "e1"): "e1", ("e2", "e2"): "e2", ("e1", "a"): "a",
-                ("a", "e2"): "a"}
-    return _linear_category(ring, homs, products, {"1": "e1", "2": "e2"})
+    return linearize(poset_category(("1", "2"), lambda a, b: a <= b), ring)
 
 
 def _rescaled(alg, b, c):
@@ -831,17 +821,8 @@ def test_groupoid_quotient_rejects_non_iso():
 
 
 def test_linear_groupoid_coinvariants_over_field():
-    from strathom.enrich import LinearCategory, validate_linear_category
-    g = _contractible_groupoid()
-    src = {"ix": "x", "iy": "y", "a": "x", "ai": "y"}
-    tgt = {"ix": "x", "iy": "y", "a": "y", "ai": "x"}
-    sc = {}
-    for (h2, h1), h in g.compose_table.items():
-        key = (src[h1], tgt[h1], tgt[h2])
-        sc.setdefault(key, {})[(h1, h2)] = {h: 1}
-    lin = LinearCategory(QQ, ("x", "y"),
-                         {k: tuple(v) for k, v in g.homs.items()},
-                         sc, {"x": {"ix": 1}, "y": {"iy": 1}})
+    from strathom.enrich import validate_linear_category
+    lin = linearize(_contractible_groupoid(), QQ)
     assert validate_linear_category(lin) == []
     mod = enr_facthom_disk(d0(), lin, groupoid_isos=(("x", "y", "a"),))
     assert mod.dim == 1
@@ -849,6 +830,43 @@ def test_linear_groupoid_coinvariants_over_field():
     z_lin = group_algebra(ZZ, *cyclic_group_table(2))
     with pytest.raises(NotImplementedError):
         enr_facthom_disk(d0(), z_lin, groupoid_isos=(("*", "*", "1"),))
+
+
+# -- linearization: the Set and linear backends meet ------------------------------------
+
+def _linearization_pool():
+    return small_category_pool() + [
+        ("S3", group_category(*symmetric_group_table(3))),
+        ("Q8", group_category(*quaternion_group_table())),
+        ("free2^4", free_monoid_category(2, 4)),
+        ("free3^3", free_monoid_category(3, 3))]
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, RingFp(2), RingFp(5)],
+                         ids=["Z", "Q", "F2", "F5"])
+def test_hh0_of_a_linearization_is_free_on_the_trace_classes(ring):
+    # HH_0(k[C]) is free on the coequalizer of d_0 and d_1 on the cyclic
+    # nerve, the trace classes; over Z it has no torsion
+    for name, cat in _linearization_pool():
+        (hh0,) = hochschild_homology(linearize(cat, ring), 0)
+        assert (hh0["rank"], hh0["torsion"]) == (len(thh_set_pi0(cat)), []), \
+            name
+
+
+@pytest.mark.parametrize("table", [
+    cyclic_group_table(2), cyclic_group_table(3), symmetric_group_table(3),
+    quaternion_group_table()], ids=["BZ2", "BZ3", "S3", "Q8"])
+def test_groupoid_orbits_are_the_linear_coinvariants(table):
+    # coinvariants of a permutation module are free on its orbits: a
+    # cokernel rank over Q against a union-find over the Set elements
+    cat = group_category(*table)
+    isos = tuple(cat.morphisms())
+    triples = tuple(("*", "*", g) for g in isos)
+    lin = linearize(cat, QQ)
+    for mname, m in small_manifold_pool(3):
+        orbits = enr_facthom_disk(m, cat, groupoid_isos=isos)
+        assert len(orbits) == enr_facthom_disk(
+            m, lin, groupoid_isos=triples).dim, mname
 
 
 # -- empty categories ----------------------------------------------------------------------------

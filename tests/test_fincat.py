@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from strathom import cyclo, fincat
 from strathom.checks import small_category_pool
+from strathom.enrich import nerve
 from strathom.fincat import (FactorizationSystem, FinCategory, Functor,
-                             SetDiagram, codiscrete, colimit_of_sets,
+                             SetDiagram, SimplicialFinSet, codiscrete,
+                             colimit_of_sets,
                              discrete_category,
                              factorizations, factorize_morphism, free_act,
                              free_cocart_second_factor, limit_of_sets,
@@ -446,6 +448,7 @@ def _arrow_with(units=None, compose=()):
                        _ARROW.units if units is None else units)
 
 
+_Z2 = monoid_category(*cyclo.cyclic_group_table(2))
 _SETS = {"x": (0, 1), "y": ("a",)}
 _MAPS = {"x<=x": {0: 0, 1: 1}, "y<=y": {"a": "a"}, "x<=y": {0: "a", 1: "a"}}
 _ID = {m: m for m in _ARROW.morphisms()}
@@ -478,6 +481,11 @@ _INVALID = [
      "image of x<=y has wrong endpoints"),
     (Functor(walking_idempotent(), walking_idempotent(), {"*": "*"},
              {"id": "phi", "phi": "phi"}), "unit of * not preserved"),
+    # in Z/2 the trivial subgroup is closed and every g = g∘0 = 0∘g factors
+    (FactorizationSystem(_Z2, frozenset({"0"}), frozenset(_Z2.morphisms())),
+     "left class is missing isomorphisms"),
+    (FactorizationSystem(_Z2, frozenset(_Z2.morphisms()), frozenset({"0"})),
+     "right class is missing isomorphisms"),
 ]
 
 
@@ -487,6 +495,29 @@ def test_validator_reports_exactly_its_finding(datum, finding):
     report = (validate_category(datum) if isinstance(datum, FinCategory)
               else datum.validate())
     assert report == [finding]
+
+
+_NERVE = nerve(_ARROW, 2)
+
+
+def _nerve_with_faces(face):
+    """The nerve of x -> y at depth 2 with `face(n, i)` in place of d_i on
+    level n; its degeneracies are kept."""
+    return SimplicialFinSet(
+        _NERVE.levels, lambda n, i, x: _NERVE.faces[face(n, i)][x],
+        lambda n, i, x: _NERVE.degens[(n, i)][x])
+
+
+@pytest.mark.parametrize("face, report", [
+    (lambda n, i: (n, 0 if (n, i) == (2, 2) else i),
+     ["d_0 d_2 != d_1 d_0 at level 2", "d_1 d_2 != d_1 d_1 at level 2",
+      "d_2 s_1 != id at level 1"]),
+    (lambda n, i: (n, n - i),
+     ["d_0 s_0 != id at level 1", "d_2 s_1 != id at level 1"]),
+], ids=["d2-replaced-by-d0", "faces-reversed"])
+def test_broken_simplicial_identities_are_reported_exactly(face, report):
+    assert _NERVE.validate_identities() == []
+    assert _nerve_with_faces(face).validate_identities() == report
 
 
 def test_functor_breaking_one_composite_is_reported():

@@ -365,6 +365,29 @@ def test_circle_self_covers_compose_by_degree():
     assert comp.creation_part.circle_map == {0: ("circle", 0, 6)}
 
 
+def test_a_circle_over_a_collapsed_circle_collapses_with_it():
+    # S^1 --z^2--> S^1 --collapse--> D0: the double cover lands on the point
+    collapse = BundleMap(smooth_circle(), d0(), {}, {}, {0: ("vertex", "v")})
+    double = BundleMap(smooth_circle(), smooth_circle(), {}, {},
+                       {0: ("circle", 0, 2)})
+    comp = collapse.compose(double)
+    assert (comp.total, comp.base) == (double.total, collapse.base)
+    assert (comp.vertex_map, comp.edge_map, comp.circle_map) \
+        == ({}, {}, {0: ("vertex", "v")})
+    assert comp.validate() == []
+
+
+def test_image_of_a_collapsed_circle_is_its_vertex():
+    collapse = BundleMap(smooth_circle(), d0(), {}, {}, {0: ("vertex", "v")})
+    onto, into = collapse.image_factorization()
+    assert (onto.base.vertices, onto.base.edges, onto.base.circles) \
+        == (("v",), (), 0)
+    assert onto.circle_map == {0: ("vertex", "v")}
+    assert onto.validate() == [] and onto.is_surjective()
+    assert into.validate() == [] and into.is_injective()
+    assert into.compose(onto).circle_map == collapse.circle_map
+
+
 # -- the refinement pullback on circles --------------------------------------------
 
 def test_forgetting_the_basepoint_then_doubling_is_active():
