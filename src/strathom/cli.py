@@ -23,7 +23,7 @@ from . import __version__
 from .checks import SUITES, run_suite
 from .cyclo import DEFAULT_DEGREES, MODEL_TAG, fixed_classes, trace_of
 from .enrich import LinearCategory, validate_linear_category
-from .facthom import (cyclic_homology, enr_facthom_disk, facthom_set_pi0,
+from .facthom import (_disk_count, cyclic_homology, facthom_set_pi0,
                       hochschild_homology, negative_cyclic_homology,
                       thh_set_pi0)
 from .fincat import FinCategory, validate_category
@@ -291,9 +291,8 @@ def cmd_facthom(args):
         if not mani.is_disk_stratified:
             raise ValidationFailure(
                 ["linear factorization homology over circles is the hh verb"])
-        module = enr_facthom_disk(mani, alg)
         return {"verb": "facthom", "backend": alg.ring.name,
-                "dimension": module.dim}
+                "dimension": _disk_count(mani, alg)}
     cat = load_category(args.category, data)
     value = facthom_set_pi0(mani, cat)
     limit = _printable_digits()

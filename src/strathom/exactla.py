@@ -14,20 +14,19 @@ normalizes: in `parse` and `show`, on entry to rank and Smith form, and in
 Matrices are sparse dict-of-rows.  Rank and Smith form share one
 elimination core (`_Core`), which also indexes the rows of each column, so a
 step touches only nonzeros.  It first clears unit pivots (every nonzero
-entry over F_p, +-1 over Z), sparsest row first and within it the sparsest
-column; over Z each is an invariant factor 1 (Dumas-Saunders-Villard,
-"On efficient sparse integer matrix Smith normal forms", JSC 2001).  Over
-Z, and over Q after scaling each row to coprime integers, what is left goes
-to least-absolute-value Smith reduction with the divisibility fix; its
-number of factors completes the rank.  Ranks and invariant factors do not
-depend on the pivot order, and ties break by index, so runs are
-deterministic.
+entry over F_p, +-1 over Z and Q), sparsest row first and within it the
+sparsest column; over Z each is an invariant factor 1 (Dumas-Saunders-Villard,
+"On efficient sparse integer matrix Smith normal forms", JSC 2001).  A rank
+over Q then pivots on any nonzero entry left, as over F_p, with the inverse
+`Fraction(1, v)`.  Over Z what is left goes to least-absolute-value Smith
+reduction with the divisibility fix; its number of factors completes the
+invariant factors.  Ranks and invariant factors do not depend on the pivot
+order, and ties break by index, so runs are deterministic.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from fractions import Fraction
 
 
@@ -233,34 +232,20 @@ class SparseMat:
                         acc[j] = s
         return out
 
-    def _integer_rows(self):
-        """Rows scaled to integer entries with content 1 (rank is
-        scaling-invariant).  Entries are ints or `Fraction`s, and both have
-        a numerator and a denominator."""
-        rows = []
-        for r in self.rows:
-            scale = math.lcm(*(v.denominator for v in r.values()))
-            row = {j: v.numerator * (scale // v.denominator)
-                   for j, v in r.items()}
-            g = math.gcd(*row.values())
-            rows.append({j: v // g for j, v in row.items()} if g > 1 else row)
-        return rows
-
     def rank(self, ring: Ring) -> int:
-        """Rank over the fraction field of `ring` (for Fp, over Fp itself)."""
-        if isinstance(ring, RingFp):
-            p = ring.p
-            core = _Core([{j: w for j, v in r.items() if (w := v % p)}
-                          for r in self.rows], p)
-            return core.clear_units()
-        core = _Core(self._integer_rows())
-        return core.clear_units() + len(core.smith())
+        """Rank over the fraction field of `ring` (for Fp, over Fp itself):
+        one field elimination, with no Smith step."""
+        p = ring.p if isinstance(ring, RingFp) else 0
+        core = _Core([{j: w for j, v in r.items() if (w := v % p if p else v)}
+                      for r in self.rows], p)
+        return core.clear_units(field=True)
 
 
 class _Core:
     """The elimination core: rows as dicts plus a column -> rows index, so
     an elimination step touches only nonzeros.  Entries are ints, reduced
-    mod `p` when p is a prime (p = 0 means over Z)."""
+    mod `p` when p is a prime; with p = 0 they are over Z, or over Q, where
+    a `Fraction` may appear too."""
 
     __slots__ = ("rows", "cols", "p")
 
@@ -292,33 +277,42 @@ class _Core:
             self.cols[j].discard(i)
         self.rows[i] = {}
 
-    def clear_units(self) -> int:
+    def clear_units(self, field=False) -> int:
         """Eliminate unit pivots (every nonzero entry mod p, else +-1),
         sparsest row first and within it the sparsest column; returns their
-        number.  Once a unit has cleared its column, its row and column
-        leave the matrix: what is left is the Schur complement."""
+        number.  With `field` over Q, a second pass then pivots on every
+        nonzero entry left, inverted as `Fraction(1, v)`: the +-1 go first
+        because they keep the entries small.  Once a pivot has cleared its
+        column, its row and column leave the matrix: what is left is the
+        Schur complement."""
         rows, cols, p = self.rows, self.cols, self.p
-        heap = [(len(row), i) for i, row in enumerate(rows) if row]
-        heapq.heapify(heap)
-        waiting = set()  # rows seen without a unit and unchanged since
         count = 0
-        while heap:
-            n, r = heapq.heappop(heap)
-            prow = rows[r]
-            if not prow or n != len(prow) or r in waiting:
-                continue
-            units = [j for j, v in prow.items() if p or v == 1 or v == -1]
-            if not units:
-                waiting.add(r)
-                continue
-            c = min(units, key=lambda j: (len(cols[j]), j))
-            inv = pow(prow[c], -1, p) if p else prow[c]
-            for i in [i for i in cols[c] if i != r]:
-                self.row_op(i, r, rows[i][c] * inv % p if p else rows[i][c] * inv)
-                waiting.discard(i)
-                heapq.heappush(heap, (len(rows[i]), i))
-            self.drop_row(r)
-            count += 1
+        passes = (True,) if p else (False, True) if field else (False,)
+        for any_entry in passes:
+            heap = [(len(row), i) for i, row in enumerate(rows) if row]
+            heapq.heapify(heap)
+            waiting = set()  # rows seen without a pivot and unchanged since
+            while heap:
+                n, r = heapq.heappop(heap)
+                prow = rows[r]
+                if not prow or n != len(prow) or r in waiting:
+                    continue
+                units = [j for j, v in prow.items()
+                         if any_entry or v == 1 or v == -1]
+                if not units:
+                    waiting.add(r)
+                    continue
+                c = min(units, key=lambda j: (len(cols[j]), j))
+                v = prow[c]
+                inv = (pow(v, -1, p) if p else v if v == 1 or v == -1
+                       else Fraction(1, v))
+                for i in [i for i in cols[c] if i != r]:
+                    f = rows[i][c] * inv
+                    self.row_op(i, r, f % p if p else f)
+                    waiting.discard(i)
+                    heapq.heappush(heap, (len(rows[i]), i))
+                self.drop_row(r)
+                count += 1
         return count
 
     def smith(self) -> list:

@@ -87,7 +87,11 @@ def enr_facthom_disk(r: GraphManifold, cat, groupoid_isos=()):
     if not groupoid_isos:
         return tuple(out) if isinstance(cat, FinCategory) else Module(cat.ring, out)
     if isinstance(cat, FinCategory):
-        isos = [(cat.src(a), cat.tgt(a), a) for a in groupoid_isos]
+        try:
+            isos = [(cat.src(a), cat.tgt(a), a) for a in groupoid_isos]
+        except KeyError as exc:
+            raise ValueError(f"designated groupoid morphism {exc.args[0]!r} "
+                             "is not a morphism") from None
         uf = UnionFind(out)
         for element, (moved,) in _transports(linearize(cat, ZZ), verts, edges,
                                              out, isos):
@@ -119,6 +123,14 @@ def _transports(cat, verts, edges, elements, isos):
     of hom(x, y), inverted by a search of hom(y, x)'s basis.  A Set category
     comes as `linearize(cat, ZZ)`, where every image has one term.
     """
+    for x, y, b in isos:
+        for obj in (x, y):
+            if obj not in cat.objects:
+                raise ValueError(f"designated groupoid morphism {b!r} names "
+                                 f"an unknown object {obj!r}")
+        if b not in cat.hom(x, y):
+            raise ValueError(f"designated groupoid morphism {b!r} is not in "
+                             f"hom({x!r}, {y!r})")
     compose = cat.compose_vectors
     resolved = [(x, y, b, next((
         w for w in cat.hom(y, x)
@@ -153,52 +165,64 @@ def _transports(cat, verts, edges, elements, isos):
                 yield element, image
 
 
+def _disk_count(r: GraphManifold, cat) -> int:
+    """The size of `enr_facthom_disk(r, cat)` (no groupoid quotient) in
+    either backend, without building it: the sum over vertex labellings of
+    the product over edges of |hom(label(src), label(dst))|."""
+    vindex = {v: i for i, v in enumerate(sorted(r.vertices))}
+    ends = [(vindex[e.src], vindex[e.dst]) for e in r.edges]
+    return sum(math.prod(len(cat.hom(lam[s], lam[t])) for s, t in ends)
+               for lam in itertools.product(cat.objects, repeat=len(vindex)))
+
+
 class SetProduct:
-    """The product of finite sets, kept as its factors: each of `factors`
-    once, then `power` repeated `times` times.  Iterating yields the tuples
-    in the order of `itertools.product(*factors, *[power] * times)`, and
-    `cardinality` is computed from the factor sizes, so counting
-    enumerates nothing (no `len`: it cannot exceed `sys.maxsize`)."""
+    """pi_0 of Set factorization homology over a manifold, kept as its
+    factors: the value over each disk component of `disks`, held by its
+    count, then the tuple `power` repeated `times` times.  Iterating builds
+    the disk values (`enr_facthom_disk`) and yields the tuples in the order
+    of `itertools.product(*values, *[power] * times)`; `cardinality` is
+    computed from the factor sizes, so counting enumerates nothing (no
+    `len`: it cannot exceed `sys.maxsize`)."""
 
-    __slots__ = ("factors", "power", "times")
+    __slots__ = ("category", "disks", "counts", "power", "times")
 
-    def __init__(self, factors, power, times):
-        self.factors = tuple(factors)
+    def __init__(self, category, disks, power, times):
+        self.category, self.disks = category, tuple(disks)
+        self.counts = [_disk_count(r, category) for r in self.disks]
         self.power = power
         self.times = times
 
     @property
     def cardinality(self):
-        return math.prod(map(len, self.factors)) * len(self.power) ** self.times
+        return math.prod(self.counts) * len(self.power) ** self.times
 
     def log10_cardinality(self) -> float:
         """log10 of `cardinality` from the factor sizes in floating point,
-        with no big-int arithmetic; -inf for the empty product."""
-        sizes = list(map(len, self.factors))
-        if 0 in sizes or (self.times and not self.power):
+        with no big-int product; -inf for the empty product."""
+        if 0 in self.counts or (self.times and not self.power):
             return -math.inf
-        log = math.fsum(map(math.log10, sizes))
+        log = math.fsum(map(math.log10, self.counts))
         if self.times:
             log += self.times * math.log10(len(self.power))
         return log
 
     def __iter__(self):
         return itertools.product(
-            *self.factors, *itertools.repeat(self.power, self.times))
+            *(enr_facthom_disk(r, self.category) for r in self.disks),
+            *itertools.repeat(self.power, self.times))
 
 
 def facthom_set_pi0(m: GraphManifold, cat: FinCategory) -> SetProduct:
     """pi_0 of Set-enriched factorization homology over a general stratified
     1-manifold: the product over connected components, disk components
-    through the terminal-refinement formula and circles through trace
-    classes, held once with the circle count as its multiplicity.  Its
-    elements come in the order of `tensor_all_sets` on the component values
-    (disk components, then one factor per circle); they are built only when
-    iterated."""
-    component_values = [enr_facthom_disk(m.subgraph(verts, edge_ids), cat)
-                        for verts, edge_ids in m.graph_components()]
+    through the terminal-refinement formula, each held by its count, and
+    circles through trace classes, held once with the circle count as its
+    multiplicity.  Its elements come in the order of `tensor_all_sets` on
+    the component values (disk components, then one factor per circle);
+    they are built only when iterated."""
     return SetProduct(
-        component_values,
+        cat, [m.subgraph(verts, edge_ids) for verts, edge_ids
+              in m.graph_components()],
         thh_set_pi0(cat).class_representatives() if m.circles else (),
         m.circles)
 

@@ -95,21 +95,25 @@ def test_facthom_verb_over_circle(inputs, capsys):
 
 
 def _facthom_under_a_memory_cap(inputs, tmp_path, circles, category=None,
-                                **environ):
-    """`strathom facthom` on `circles` circles with the walking idempotent
-    (or the category file `category`), in a subprocess whose address space
-    is capped at 1 GiB, so that enumerating the 2^circles elements fails
-    fast instead of filling the machine's memory.  `environ` is added to
-    the subprocess's environment.  Returns the exit code, the parsed stdout
-    and the manifold file."""
+                                edges=0, **environ):
+    """`strathom facthom` on `circles` circles, beside an interval of
+    `edges` edges when `edges` > 0, with the walking idempotent (or the
+    category file `category`), in a subprocess whose address space is
+    capped at 1 GiB, so that enumerating the 2^(circles + edges) elements
+    fails fast instead of filling the machine's memory.  `environ` is added
+    to the subprocess's environment.  Returns the exit code, the parsed
+    stdout and the manifold file."""
     import os
     import subprocess
     import sys
     import strathom
     resource = pytest.importorskip("resource")
-    mani = tmp_path / f"circles{circles}.json"
-    mani.write_text(json.dumps({"vertices": [], "edges": [],
-                                "circles": circles}))
+    mani = tmp_path / f"circles{circles}-edges{edges}.json"
+    mani.write_text(json.dumps({
+        "vertices": [f"v{i}" for i in range(edges + 1)] if edges else [],
+        "edges": [{"id": f"e{i}", "src": f"v{i}", "dst": f"v{i + 1}"}
+                  for i in range(edges)],
+        "circles": circles}))
     src = os.path.dirname(os.path.dirname(os.path.abspath(strathom.__file__)))
     env = dict(os.environ, PYTHONPATH=src, **environ)
     env.pop("FH_CACHE", None)
@@ -138,6 +142,15 @@ def test_facthom_counts_without_enumerating(inputs, tmp_path):
             inputs, tmp_path, 10 ** 19, str(category))
         assert code == 0
         assert result["cardinality"] == count
+
+
+def test_facthom_counts_disk_components_without_enumerating(inputs,
+                                                           tmp_path):
+    # 2^26 edge decorations of a 26-edge interval; listing them took 1.25 GB
+    # at 22 edges
+    code, result, _ = _facthom_under_a_memory_cap(inputs, tmp_path, 0,
+                                                  edges=26)
+    assert (code, result["cardinality"]) == (0, 67108864)
 
 
 def test_facthom_count_too_long_to_print_is_a_validation_failure(
@@ -193,6 +206,21 @@ def test_facthom_linear_backend(inputs, tmp_path, capsys):
                     "--category", inputs["q"])
     assert code == 0
     assert json.loads(out)["dimension"] == 1
+
+
+def test_facthom_linear_dimension_is_counted(inputs, tmp_path, capsys):
+    # the walking idempotent's linearization has a 2-dimensional hom, so a
+    # 40-edge interval has dimension 2^40: counted, never listed
+    from strathom import (QQ, linearize, standard_interval,
+                          walking_idempotent)
+    alg = tmp_path / "idem-q.json"
+    alg.write_text(json.dumps(
+        linearize(walking_idempotent(), QQ).to_json_dict()))
+    mani = tmp_path / "interval40.json"
+    mani.write_text(json.dumps(standard_interval(40).to_json_dict()))
+    code, out = run(capsys, "facthom", "--manifold", str(mani),
+                    "--category", str(alg))
+    assert (code, json.loads(out)["dimension"]) == (0, 2 ** 40)
 
 
 def test_schema_error_exit_code(inputs, tmp_path, capsys):

@@ -241,6 +241,35 @@ def test_smith_and_rank_match_determinantal_divisors(values):
             assert m.rank(RingFp(p)) == _minor_rank(rows, p), (rows, p)
 
 
+NO_UNIT_Q = (0, 0, 0, 2, -3, Fraction(2, 3), Fraction(-3, 2), Fraction(5, 7),
+             Fraction(-4, 9))
+
+
+def test_rank_of_rows_without_unit_entries_matches_minors(monkeypatch):
+    """No +-1 entry, so the unit pass finds nothing and the field pass
+    pivots on p/q entries, never reaching Smith form; a last row that is a
+    p/q combination of two others makes some ranks fall short."""
+    from strathom.exactla import _Core
+
+    def smith(self):
+        raise AssertionError("a rank over a field reached Smith form")
+    monkeypatch.setattr(_Core, "smith", smith)
+    rng = random.Random(7)
+    checked = 0
+    for _ in range(200):
+        rows = _random_matrix(rng, NO_UNIT_Q)
+        if len(rows) > 2:
+            a, b = rng.sample(rows[:-1], 2)
+            c, d = rng.choice(NO_UNIT_Q[3:]), rng.choice(NO_UNIT_Q[3:])
+            rows[-1] = [c * x + d * y for x, y in zip(a, b)]
+        if any(v in (1, -1) for row in rows for v in row):
+            continue
+        m = sparse_from_dense(QQ, rows)
+        assert m.rank(QQ) == _minor_rank(rows), rows
+        checked += 1
+    assert checked >= 150
+
+
 @pytest.mark.parametrize("rows,factors", [
     ([[2, 0], [0, 3]], [1, 6]),
     ([[4, 0], [0, 6]], [2, 12]),

@@ -141,6 +141,38 @@ def test_count_past_sys_maxsize_is_exact():
         len(value)
 
 
+def test_disk_components_are_counted_without_enumerating(monkeypatch):
+    """A 64-edge interval of the walking idempotent has 2^64 edge
+    decorations: each disk component is held by its count, and its elements
+    are built (by `enr_facthom_disk`) only when the product is iterated."""
+    import time
+    from strathom import facthom
+
+    def enumerate_nothing(*args, **kwargs):
+        raise AssertionError("a disk component was enumerated")
+    monkeypatch.setattr(facthom, "enr_facthom_disk", enumerate_nothing)
+    start = time.perf_counter()
+    value = facthom_set_pi0(standard_interval(64), walking_idempotent())
+    assert value.cardinality == 2 ** 64
+    assert time.perf_counter() - start < 1
+    with pytest.raises(AssertionError, match="was enumerated"):
+        next(iter(value))
+
+
+def test_disk_count_is_the_size_of_the_disk_value():
+    from strathom.facthom import _disk_count
+    for cname, cat in small_category_pool():
+        lin = linearize(cat, QQ)
+        for mname, m in small_manifold_pool(3):
+            size = len(enr_facthom_disk(m, cat))
+            assert _disk_count(m, cat) == size, (cname, mname)
+            assert _disk_count(m, lin) == enr_facthom_disk(m, lin).dim == size
+            value = facthom_set_pi0(m, cat)
+            assert value.cardinality == math.prod(
+                len(enr_facthom_disk(m.subgraph(*c), cat))
+                for c in m.graph_components()), (cname, mname)
+
+
 def test_circles_are_one_factor_with_a_multiplicity_in_product_order():
     cat = monoid_category(*cyclic_group_table(3))
     m = disjoint_union(disjoint_union(d0(), smooth_circle()), smooth_circle())
@@ -589,6 +621,31 @@ def _normalization_failures(alg, depth):
     return failures
 
 
+def test_q_ranks_never_reach_smith_form(monkeypatch):
+    """A rank over Q is one field elimination, and Smith form serves Z
+    alone.  The oracle is Smith form over Z after scaling each row to
+    integers, which does not change the rank."""
+    from strathom.exactla import _Core, smith_invariant_factors
+    cases = []
+    for name, alg, depth in mixed_algebras():
+        for b in ChainComplexBundle(alg, depth).boundaries[1:]:
+            rows = [{j: int(v * math.lcm(*(Fraction(w).denominator
+                                           for w in row.values())))
+                     for j, v in row.items()} for row in b.rows]
+            cases.append((name, b, len(smith_invariant_factors(
+                SparseMat(b.nrows, b.ncols, rows)))))
+
+    def smith(self):
+        raise AssertionError("a rank over Q reached Smith form")
+    monkeypatch.setattr(_Core, "smith", smith)
+    for name, b, rank in cases:
+        assert b.rank(QQ) == rank, name
+    for name, alg, depth in mixed_algebras():
+        if alg.ring == QQ:
+            hochschild_homology(alg, depth - 1)
+            cyclic_homology(alg, depth - 1)
+
+
 def _json_copy(alg):
     from strathom.enrich import LinearCategory
     return LinearCategory.from_json_dict(alg.to_json_dict())
@@ -619,6 +676,15 @@ def _rescaled(alg, b, c):
                              (c if i == b else 1) * (c if j == b else 1))
              for i in basis for j in basis}
     return algebra_from_table(ring, basis, table, rebased(alg.unit_vector(obj)))
+
+
+def _rescaled_basis(alg):
+    """`_rescaled` at every basis element: the k-th for (k+2)/(2k+3) times
+    itself, so that no structure constant is +-1."""
+    (obj,) = alg.objects
+    for k, b in enumerate(alg.hom(obj, obj)):
+        alg = _rescaled(alg, b, Fraction(k + 2, 2 * k + 3))
+    return alg
 
 
 B_CASES = MIXED + [
@@ -695,9 +761,10 @@ def test_normalized_groups_equal_the_unnormalized_oracle(ring):
 def _rational_cases():
     """(name, an algebra with non-integral scalars, an integral algebra
     isomorphic to it): a basis element b standing for c·b."""
-    q, z3, m2 = (ground_ring_algebra(QQ),
-                 group_algebra(QQ, *cyclic_group_table(3)),
-                 matrix_algebra(QQ, 2))
+    q, z3, m2, s3 = (ground_ring_algebra(QQ),
+                     group_algebra(QQ, *cyclic_group_table(3)),
+                     matrix_algebra(QQ, 2),
+                     group_algebra(QQ, *symmetric_group_table(3)))
     return [
         ("Q, e = 2·1: e∘e = 2·e, 1 = (1/2)·e", _rescaled(q, "1", 2), q),
         ("Q, e = (1/2)·1: e∘e = (1/2)·e, 1 = 2·e",
@@ -705,6 +772,7 @@ def _rational_cases():
         ("Q[Z/3], 1 for (3/2)·1", _rescaled(z3, "0", Fraction(3, 2)), z3),
         ("Q[Z/3], g for (2/3)·g", _rescaled(z3, "1", Fraction(2, 3)), z3),
         ("M2(Q), E01 for (1/2)·E01", _rescaled(m2, "E01", Fraction(1, 2)), m2),
+        ("Q[S_3], each g_k for (k+2)/(2k+3)·g_k", _rescaled_basis(s3), s3),
     ]
 
 
@@ -722,9 +790,14 @@ def test_rational_scalars_give_the_groups_of_the_integral_algebra(alg,
     scalars += [c for vec in alg.units.values() for c in vec.values()]
     assert any(type(c) is Fraction for c in scalars)
     assert validate_linear_category(alg) == []
-    hh, hc, _ = _unnormalized_groups(alg, 3, 3, 0, 0)
-    assert hochschild_homology(alg, 3) == hh == hochschild_homology(integral, 3)
-    assert cyclic_homology(alg, 3) == hc == cyclic_homology(integral, 3)
+    hh, hc = hochschild_homology(alg, 3), cyclic_homology(alg, 3)
+    assert hh == hochschild_homology(integral, 3)
+    assert hc == cyclic_homology(integral, 3)
+    # the unnormalized complex of a 6-dimensional algebra has 6^5 = 7,776
+    # basis elements in degree 4, and its ranks take seconds: go to degree 2
+    top = 3 if alg.dim("*", "*") <= 4 else 2
+    assert (hh[:top + 1], hc[:top + 1]) == _unnormalized_groups(
+        alg, top, top, 0, 0)[:2]
 
 
 def test_z_unit_without_a_unit_coordinate_is_rebased():
@@ -818,6 +891,21 @@ def test_groupoid_quotient_identifies_isomorphic_labelings():
 def test_groupoid_quotient_rejects_non_iso():
     with pytest.raises(ValueError, match="'phi' is not invertible"):
         enr_facthom_disk(d0(), walking_idempotent(), groupoid_isos=("phi",))
+
+
+def test_groupoid_quotient_names_an_unknown_morphism():
+    with pytest.raises(ValueError, match="'zz' is not a morphism"):
+        enr_facthom_disk(d0(), walking_idempotent(), groupoid_isos=("zz",))
+
+
+@pytest.mark.parametrize("triple, message", [
+    (("*", "q", "id"), "'id' names an unknown object 'q'"),
+    (("*", "*", "nope"), r"'nope' is not in hom\('\*', '\*'\)"),
+], ids=["unknown object", "unknown basis element"])
+def test_linear_groupoid_coinvariants_name_an_unknown_iso(triple, message):
+    lin = linearize(walking_idempotent(), QQ)
+    with pytest.raises(ValueError, match=message):
+        enr_facthom_disk(d0(), lin, groupoid_isos=(triple,))
 
 
 def test_linear_groupoid_coinvariants_over_field():
