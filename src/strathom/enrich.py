@@ -271,21 +271,30 @@ class LinearCategory:
     @classmethod
     def from_json_dict(cls, data):
         ring = ring_from_name(check_json(data["ring"], str, "ring"))
+        dims = check_json(data.get("hom_dims", {}), {str: (int, list)},
+                          "hom_dims")
+        vectors = {str: {str: (int, str)}}
+        constants = check_json(data.get("structure_constants", {}),
+                               {str: vectors}, "structure_constants")
+        # the right unit law needs an entry (b, k) in sc[(x, y, y)] for each
+        # b in hom(x, y), so a larger count can never validate
+        entries = sum(map(len, constants.values()))
         hom_basis = {}
-        for key, basis in check_json(data.get("hom_dims", {}),
-                                     {str: (int, list)}, "hom_dims").items():
+        for key, basis in dims.items():
             x, _, y = key.partition("->")
             if not _:
                 raise ValueError(f"bad hom key {key!r}")
             if isinstance(basis, int):
+                if not 0 <= basis <= entries:
+                    raise ValueError(
+                        f"hom_dims[{key!r}] must be a count from 0 to "
+                        f"{entries}, the number of structure-constant "
+                        f"entries, found {basis}")
                 basis = [f"b{i}" for i in range(basis)]
             hom_basis[(x, y)] = tuple(check_json(basis, [str],
                                                  f"hom_dims[{key!r}]"))
-        vectors = {str: {str: (int, str)}}
         sc = {}
-        for key, table in check_json(data.get("structure_constants", {}),
-                                     {str: vectors},
-                                     "structure_constants").items():
+        for key, table in constants.items():
             parts = tuple(key.split(","))
             if len(parts) != 3:
                 raise ValueError(f"bad structure-constant key {key!r}")
@@ -304,9 +313,10 @@ class LinearCategory:
 
 
 def validate_linear_category(cat: LinearCategory):
-    """Distinct names, hom keys on known objects, structure constants and
-    units that name only basis elements of their homs, and the
-    associativity and unit laws as identities of structure constants."""
+    """Distinct names, hom, structure-constant and unit keys on known
+    objects, structure constants and units that name only basis elements of
+    their homs, and the associativity and unit laws as identities of
+    structure constants."""
     ring = cat.ring
     objs = cat.objects
     report = [f"duplicate object {x}" for x in repeated_names(objs)]
@@ -315,6 +325,10 @@ def validate_linear_category(cat: LinearCategory):
             report.append(f"hom ({x},{y}) references unknown object")
         report += [f"duplicate basis element {b} in hom({x}, {y})"
                    for b in repeated_names(basis)]
+    report += [f"structure constants at {x},{y},{z} reference unknown object"
+               for x, y, z in cat.sc if any(w not in objs for w in (x, y, z))]
+    report += [f"unit at {x} references unknown object" for x in cat.units
+               if x not in objs]
     homs = {key: set(basis) for key, basis in cat.hom_basis.items()}
     for (x, y, z), table in cat.sc.items():
         for (i, j), vec in table.items():

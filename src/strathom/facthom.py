@@ -255,9 +255,8 @@ class TraceClassTable:
 
     def __init__(self, cat: FinCategory):
         self.category = cat
-        self.elements = tuple(sorted(m for m in cat.morphisms()
-                                     if cat.src(m) == cat.tgt(m)))
-        self._uf = UnionFind(self.elements)
+        self._uf = UnionFind(m for m in cat.morphisms()
+                             if cat.src(m) == cat.tgt(m))
         table = cat.compose_table
         for f in generating_set(cat):
             for g in cat.hom(cat.tgt(f), cat.src(f)):

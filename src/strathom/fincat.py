@@ -199,13 +199,18 @@ class FinCategory:
 def validate_category(cat: FinCategory):
     """All violated axioms, as strings.  Empty report == valid category.
 
-    Associativity is checked by Light's test (Clifford-Preston, *The
-    Algebraic Theory of Semigroups* I, §1.2) on the greedy generating set G
-    of `generating_set`: every morphism is reached from the units by
-    composing with generators on the right, f = f'∘g' with g' in G and f'
-    reached earlier.  It is enough to check (h∘g)∘f = h∘(g∘f) for f in G.
-    By induction on the order in which f was reached: a unit f is covered
-    by the unit laws, which are checked first; and if f = f'∘g' then
+    Past the name, endpoint and unit checks, one table serves the rest:
+    `row[f]`, the right translation by f, lists h∘f for h out of tgt f in
+    `morphisms()` order, each by its place among the morphisms out of src
+    f.  Building it is the totality check; each unit law is one entry.
+    Associativity says that row[g∘f] is row[g] read through row[f], i.e.
+    (h∘g)∘f = h∘(g∘f) for every h.  By Light's test (Clifford-Preston, *The
+    Algebraic Theory of Semigroups* I, §1.2) it is compared only for f in
+    the greedy generating set G of `generating_set`: every morphism is
+    reached from the units by composing with generators on the right,
+    f = f'∘g' with g' in G and f' reached earlier.  By induction on the
+    order in which f was reached: a unit f is covered by the unit laws,
+    which are checked first; and if f = f'∘g' then
 
         (h∘g)∘f = ((h∘g)∘f')∘g' = (h∘(g∘f'))∘g' = h∘((g∘f')∘g') = h∘(g∘f),
 
@@ -221,6 +226,8 @@ def validate_category(cat: FinCategory):
         return report + repeated
     report += [f"hom ({s},{t}) references unknown object" for s, t in cat.homs
                if s not in cat.objects or t not in cat.objects]
+    report += [f"unit for {x} references unknown object" for x in cat.units
+               if x not in cat.objects]
     for x in cat.objects:
         u = cat.units.get(x)
         if u is None:
@@ -235,25 +242,36 @@ def validate_category(cat: FinCategory):
             report.append(f"entry ({g},{f}) is not composable")
         elif cat._src[h] != cat._src[f] or cat._tgt[h] != cat._tgt[g]:
             report.append(f"composite {h} of ({g},{f}) has wrong endpoints")
-    # totality, over the composable pairs only; morphisms are ids into `ms`
-    ms = list(cat.morphisms())
-    out_of = {}
-    for i, m in enumerate(ms):
-        out_of.setdefault(cat._src[m], []).append(i)
-    for f in ms:
-        for g in out_of.get(cat._tgt[f], ()):
-            if (ms[g], f) not in cat.compose_table:
-                report.append(f"missing composite ({ms[g]},{f})")
+    table, src, tgt = cat.compose_table, cat._src, cat._tgt
+    out_of, place = {}, {}
+    for m in cat.morphisms():
+        line = out_of.setdefault(src[m], [])
+        place[m] = len(line)
+        line.append(m)
+    # the rows, over the composable pairs only; an absent entry is None
+    row = {}
+    for f in cat.morphisms():
+        after = out_of.get(tgt[f], ())
+        row[f] = [place.get(table.get((h, f))) for h in after]
+        if None in row[f]:
+            report += [f"missing composite ({h},{f})" for h in after
+                       if (h, f) not in table]
     if report:
         return report
     # unit laws and associativity only make sense on a total table
-    for f in ms:
-        if cat.compose_table[(cat.units[cat._tgt[f]], f)] != f:
+    for f in cat.morphisms():
+        if row[f][place[cat.units[tgt[f]]]] != place[f]:
             report.append(f"left unit law fails at {f}")
-        if cat.compose_table[(f, cat.units[cat._src[f]])] != f:
+        if row[cat.units[src[f]]][place[f]] != place[f]:
             report.append(f"right unit law fails at {f}")
-    report.extend(f"associativity fails at ({h},{g},{f})"
-                  for h, g, f in _light_failures(cat, ms, out_of))
+    for f in generating_set(cat):
+        row_f, from_f = row[f], out_of[src[f]]
+        for g, gf in zip(out_of[tgt[f]], row_f):
+            # (h∘g)∘f and h∘(g∘f), for h out of tgt g
+            lhs, rhs = list(map(row_f.__getitem__, row[g])), row[from_f[gf]]
+            if lhs != rhs:
+                report += [f"associativity fails at ({h},{g},{f})" for h, a, b
+                           in zip(out_of[tgt[g]], lhs, rhs) if a != b]
     return report
 
 
@@ -291,26 +309,6 @@ def generating_set(cat: FinCategory):
             reached.add(f)
             queue += [table.get((f, g)) for g in gens_into.get(src[f], ())]
     return gens
-
-
-def _light_failures(cat: FinCategory, ms, out_of):
-    """Light's test on a total table: the triples (h, g, f), f in
-    `generating_set(cat)`, where (h∘g)∘f != h∘(g∘f).  Works on the ids of
-    `ms`, the morphisms in `morphisms()` order; `out_of[x]` lists the ids
-    with source x."""
-    n = len(ms)
-    ident = {m: i for i, m in enumerate(ms)}
-    comp = {ident[g] * n + ident[f]: ident[h]
-            for (g, f), h in cat.compose_table.items()}
-    tgt = [cat._tgt[m] for m in ms]
-    failures = []
-    for f in map(ident.__getitem__, generating_set(cat)):
-        for g in out_of.get(tgt[f], ()):
-            gf = comp[g * n + f]
-            for h in out_of.get(tgt[g], ()):
-                if comp[comp[h * n + g] * n + f] != comp[h * n + gf]:
-                    failures.append((ms[h], ms[g], ms[f]))
-    return failures
 
 
 # -- small builders --------------------------------------------------------

@@ -94,37 +94,46 @@ def test_facthom_verb_over_circle(inputs, capsys):
     assert json.loads(out)["cardinality"] == 2
 
 
-def _facthom_under_a_memory_cap(inputs, tmp_path, circles, category=None,
-                                edges=0, **environ):
-    """`strathom facthom` on `circles` circles, beside an interval of
-    `edges` edges when `edges` > 0, with the walking idempotent (or the
-    category file `category`), in a subprocess whose address space is
-    capped at 1 GiB, so that enumerating the 2^(circles + edges) elements
-    fails fast instead of filling the machine's memory.  `environ` is added
-    to the subprocess's environment.  Returns the exit code, the parsed
-    stdout and the manifold file."""
+def _under_a_memory_cap(argv, **environ):
+    """`strathom *argv` in a subprocess whose address space is capped at
+    1 GiB, so that a runaway allocation fails fast instead of filling the
+    machine's memory.  `environ` is added to the subprocess's environment.
+    Checks that stderr is empty; returns the exit code and the parsed
+    stdout."""
     import os
     import subprocess
     import sys
     import strathom
     resource = pytest.importorskip("resource")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(strathom.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, **environ)
+    env.pop("FH_CACHE", None)
+    cap = 1 << 30
+    proc = subprocess.run(
+        [sys.executable, "-m", "strathom.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert proc.stderr == ""
+    return proc.returncode, json.loads(proc.stdout)
+
+
+def _facthom_under_a_memory_cap(inputs, tmp_path, circles, category=None,
+                                edges=0, **environ):
+    """`strathom facthom` on `circles` circles, beside an interval of
+    `edges` edges when `edges` > 0, with the walking idempotent (or the
+    category file `category`), under `_under_a_memory_cap`, so that
+    enumerating the 2^(circles + edges) elements fails fast.  Returns the
+    exit code, the parsed stdout and the manifold file."""
     mani = tmp_path / f"circles{circles}-edges{edges}.json"
     mani.write_text(json.dumps({
         "vertices": [f"v{i}" for i in range(edges + 1)] if edges else [],
         "edges": [{"id": f"e{i}", "src": f"v{i}", "dst": f"v{i + 1}"}
                   for i in range(edges)],
         "circles": circles}))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(strathom.__file__)))
-    env = dict(os.environ, PYTHONPATH=src, **environ)
-    env.pop("FH_CACHE", None)
-    cap = 1 << 30
-    proc = subprocess.run(
-        [sys.executable, "-m", "strathom.cli", "facthom", "--manifold",
-         str(mani), "--category", category or inputs["idem"]],
-        env=env, capture_output=True, text=True, timeout=120,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
-    assert proc.stderr == ""
-    return proc.returncode, json.loads(proc.stdout), mani
+    code, result = _under_a_memory_cap(
+        ["facthom", "--manifold", str(mani), "--category",
+         category or inputs["idem"]], **environ)
+    return code, result, mani
 
 
 def test_facthom_counts_without_enumerating(inputs, tmp_path):
@@ -284,15 +293,25 @@ D1 = {"vertices": ["a", "b"], "edges": [{"id": "e", "src": "a", "dst": "b"}],
      "hom (*,y) references unknown object"),
     (dict(IDEM, homs={"*->*": ["id"], "*->ghost": []}, compose={"id*id": "id"}),
      "hom (*,ghost) references unknown object"),
+    (dict(IDEM, units={"*": "id", "ghost": "id"}),
+     "unit for ghost references unknown object"),
+    (dict(Q_ALGEBRA, structure_constants={"*,*,*": {"1,1": {"1": "1"}},
+                                          "*,*,ghost": {}}),
+     "structure constants at *,*,ghost reference unknown object"),
+    (dict(Q_ALGEBRA, units={"*": {"1": "1"}, "ghost": {}}),
+     "unit at ghost references unknown object"),
 ], ids=["set-object", "linear-object", "linear-basis", "linear-unknown-object",
-        "set-empty-hom-unknown-object"])
+        "set-empty-hom-unknown-object", "set-unit-unknown-object",
+        "linear-structure-constants-unknown-object",
+        "linear-unit-unknown-object"])
 def test_repeated_or_unknown_names_are_validation_failures(tmp_path, capsys,
                                                            data, finding):
     """A repeated name used to be counted twice: `facthom` on the idempotent
     with its object listed twice gave cardinality 4 over d1, and `hh` of Q
     with a repeated object or basis element gave HH_0 of rank 2.  An empty
     hom used to be dropped before validation, so its unknown object went
-    unreported and `facthom` exited 0."""
+    unreported and `facthom` exited 0; unit and structure-constant keys on
+    an unknown object went unchecked, and `thh-set` and `hh` exited 0."""
     path = tmp_path / "cat.json"
     path.write_text(json.dumps(data))
     mani = tmp_path / "d1.json"
@@ -303,6 +322,29 @@ def test_repeated_or_unknown_names_are_validation_failures(tmp_path, capsys,
     assert code == 1
     assert json.loads(out)["error"] == {"type": "validation",
                                         "report": [finding]}
+
+
+@pytest.mark.parametrize("count", [-1, 100_000_000_000])
+def test_hom_count_outside_its_bound_is_a_schema_error(tmp_path, capsys,
+                                                       count):
+    """A negative count used to be read as an empty hom, and 10^11 was
+    expanded into names before anything checked it: a MemoryError traceback
+    under a 1 GB cap.  No count past the number of structure-constant
+    entries can pass the right unit law, so it is refused before any name
+    is built."""
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(dict(Q_ALGEBRA, hom_dims={"*->*": count})))
+    error = {"type": "schema", "message": (
+        f"{path}: hom_dims['*->*'] must be a count from 0 to 1, the number "
+        f"of structure-constant entries, found {count}")}
+    assert _under_a_memory_cap(["hh", "--algebra", str(path)]) == (
+        2, {"error": error})
+    # the capped run has ruled out a runaway allocation; time the verb
+    # itself in this process, without the process start
+    start = time.perf_counter()
+    code, out = run(capsys, "hh", "--algebra", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, json.loads(out)) == (2, {"error": error})
 
 
 DUAL_NUMBERS = dict(Q_ALGEBRA, hom_dims={"*->*": ["1", "x"]},

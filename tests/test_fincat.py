@@ -261,6 +261,33 @@ def test_light_test_agrees_with_triple_loop_on_corrupted_tables():
     assert verdicts == {True, False}
 
 
+def test_unit_law_and_associativity_reports_are_the_oracle_at_generators():
+    """The report in full and in order: the triple loop's unit-law findings
+    (per f: left, then right), then its associativity failures with f in
+    `generating_set`, f in G order, then g, then h in `morphisms()` order."""
+    rng = random.Random(20261020)
+    bases = [cat for name, cat in _group_categories() if name in ("S_3", "Q_8")]
+    bases.append(_pair_groupoid_times_cyclic(("a", "b"), 2))
+    seen = set()
+    for trial in range(300):
+        base = bases[trial % len(bases)]
+        table = dict(base.compose_table)
+        for _ in range(rng.randrange(1, 4)):
+            (g, f), h = rng.choice(sorted(table.items()))
+            table[(g, f)] = rng.choice(
+                [m for m in base.hom(base.src(f), base.tgt(g)) if m != h])
+        cat = _shuffled(base, table, rng)
+        oracle = triple_loop_report(cat)
+        failing, names = set(oracle), list(cat.morphisms())
+        expected = [r for r in oracle if "unit law" in r] + [
+            r for f in fincat.generating_set(cat) for g in names for h in names
+            if (r := f"associativity fails at ({h},{g},{f})") in failing]
+        report = validate_category(cat)
+        assert report == expected
+        seen.update(r.split(" fails")[0] for r in report)
+    assert seen == {"left unit law", "right unit law", "associativity"}
+
+
 # -- colimits and limits -------------------------------------------------------
 
 def _diagram_discrete():
