@@ -16,16 +16,18 @@ import functools
 import hashlib
 import json
 import os
+import struct
 import sys
 import tempfile
 
 from . import __version__
 from .checks import SUITES, run_suite
 from .cyclo import DEFAULT_DEGREES, MODEL_TAG, fixed_classes, trace_of
-from .enrich import LinearCategory, validate_linear_category
-from .facthom import (_disk_count, cyclic_homology, facthom_set_pi0,
-                      hochschild_homology, negative_cyclic_homology,
-                      thh_set_pi0)
+from .enrich import (LinearCategory, separable_by_trace_form,
+                     validate_linear_category)
+from .facthom import (_disk_count, complex_dims, cyclic_homology,
+                      facthom_set_pi0, hochschild_homology,
+                      negative_cyclic_homology, thh_set_pi0)
 from .fincat import FinCategory, validate_category
 from .manifold import GraphManifold, validate_manifold
 
@@ -219,21 +221,70 @@ def render_table(result) -> str:
 
 # -- verbs --------------------------------------------------------------------------
 
+def _memory_bytes() -> int:
+    """The machine's physical memory in bytes, or `sys.maxsize` where it
+    cannot be read."""
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf, as on Windows
+        memory = -1
+    return memory if memory > 0 else sys.maxsize
+
+
+def _require_room(alg, complex_top, n_groups):
+    """Fail validation, before anything is built, when the normalized
+    complex to degree `complex_top` and a list of `n_groups` groups cannot
+    fit in the machine's memory.  Both are counted from below: an element
+    of C_n holds its own tuple of n + 1 basis elements, one reference each,
+    and a group is a dict of three keys.  The count stops as soon as it
+    passes the memory, so a huge degree costs nothing to refuse."""
+    memory = _memory_bytes()
+    need = n_groups * sys.getsizeof({"degree": 0, "rank": 0, "torsion": []})
+    ref = struct.calcsize("P")
+    for n, dim in zip(range(complex_top + 1), complex_dims(alg)):
+        if need > memory:
+            break
+        need += dim * ref * (n + 1)
+    if need > memory:
+        raise ValidationFailure([
+            f"the complex to degree {complex_top} and {n_groups} groups "
+            f"need more than the machine's {memory} bytes of memory"])
+
+
+def _homology(alg, max_degree, periodic):
+    """HH (or, `periodic`, HC) in degrees 0..max_degree.  When the trace
+    form certifies that the algebra is separable over a field, HH_n = 0 for
+    n > 0 (Weibel, *An Introduction to Homological Algebra*, §9.2), and so
+    by Connes' SBI sequence HC_2k = HH_0 and HC_2k+1 = 0 (Loday, *Cyclic
+    Homology*, §2.2): only HH_0, the boundary C_1 -> C_0, is computed.
+    Every other algebra gets the full complex."""
+    if separable_by_trace_form(alg):
+        _require_room(alg, 1, max_degree + 1)
+        rank = hochschild_homology(alg, 0)[0]["rank"]
+        return [{"degree": n, "torsion": [],
+                 "rank": rank if n % 2 == 0 and (periodic or n == 0) else 0}
+                for n in range(max_degree + 1)]
+    _require_room(alg, max_degree + 1, max_degree + 1)
+    engine = cyclic_homology if periodic else hochschild_homology
+    return engine(alg, max_degree)
+
+
 def cmd_hh(args):
     alg = load_algebra(args.algebra, args.data["algebra"])
-    groups = hochschild_homology(alg, args.max_degree)
-    return {"verb": "hh", "ring": alg.ring.name, "groups": groups}
+    return {"verb": "hh", "ring": alg.ring.name,
+            "groups": _homology(alg, args.max_degree, periodic=False)}
 
 
 def cmd_hc(args):
     alg = load_algebra(args.algebra, args.data["algebra"])
     if args.negative:
+        _require_room(alg, args.max_degree + 2 * args.i_max + 1,
+                      args.max_degree + 1)
         result = negative_cyclic_homology(alg, args.max_degree, args.i_max)
         return {"verb": "hc", "ring": alg.ring.name, "mode": "negative",
                 **result}
-    groups = cyclic_homology(alg, args.max_degree)
     return {"verb": "hc", "ring": alg.ring.name, "mode": "first-quadrant",
-            "groups": groups}
+            "groups": _homology(alg, args.max_degree, periodic=True)}
 
 
 def cmd_thh_set(args):
@@ -263,13 +314,7 @@ def _printable_digits() -> int:
     digit per byte of the machine's memory, since the decimal string must
     fit in it."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        return limit
-    try:
-        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):  # no sysconf, as on Windows
-        memory = -1
-    return memory if memory > 0 else sys.maxsize
+    return limit or _memory_bytes()
 
 
 def cmd_facthom(args):

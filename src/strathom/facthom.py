@@ -17,7 +17,7 @@ from fractions import Fraction
 from .exactla import SparseMat, ZZ, chain_homology
 from .fincat import FinCategory, SimplicialFinSet, UnionFind, generating_set
 from .enrich import (LinearCategory, Module, is_separable, linearize,
-                     tensor_all_sets)
+                     separable_by_trace_form, tensor_all_sets)
 from .manifold import GraphManifold
 
 
@@ -537,6 +537,23 @@ class ChainComplexBundle:
         return report
 
 
+def complex_dims(cat: LinearCategory):
+    """dim C_0, dim C_1, ... of `ChainComplexBundle(cat, n)`, from the hom
+    sizes alone: dim C_n = tr(H·H̄^n), with H[x][y] = |hom(x, y)| and H̄
+    equal to H less the pivot, 1, on each nonzero diagonal entry.  The
+    generator ends once H̄^n = 0, for then every later C_n is 0; otherwise
+    it does not end."""
+    objs = range(len(cat.objects))
+    full = [[cat.dim(x, y) for y in cat.objects] for x in cat.objects]
+    bar = [[h - (x == y and h > 0) for y, h in enumerate(row)]
+           for x, row in enumerate(full)]
+    power = [[int(x == y) for y in objs] for x in objs]  # H̄^n
+    while any(map(any, power)):
+        yield sum(full[x][y] * power[y][x] for x in objs for y in objs)
+        power = [[sum(row[z] * bar[z][y] for z in objs) for y in objs]
+                 for row in power]
+
+
 class LinearCyclicLevel:
     """Level n of the unnormalized linear cyclic bar construction: the based
     module with its face, degeneracy and signed cyclic operator matrices,
@@ -621,15 +638,19 @@ def negative_cyclic_homology(cat: LinearCategory, n_max: int, i_max: int = 3):
     at i <= i_max and reports the truncation.  The dropped columns
     contribute only Hochschild homology in positive degrees, so the
     truncation is exact when HH_n = 0 for all n > 0.  That is claimed only
-    with a certificate: a separability idempotent (`enrich.is_separable`).
-    Without one, "exact" is false and "hh_vanishes_above" and
-    "certificate" are null.
+    with a certificate that A is separable: a nondegenerate trace form
+    (`enrich.separable_by_trace_form`), or, where the trace form cannot
+    decide, a separability idempotent (`enrich.is_separable`).  Without
+    one, "exact" is false and "hh_vanishes_above" and "certificate" are
+    null.
     """
     if i_max < 0:
         raise ValueError(f"i_max must be >= 0, got {i_max}")
     complex_ = ChainComplexBundle(cat, n_max + 2 * i_max + 1)
     dims, mats = _total_complex(complex_, n_max, range(0, -i_max - 1, -1))
-    separable = is_separable(cat)
+    separable = separable_by_trace_form(cat)
+    if separable is None:
+        separable = is_separable(cat)
     return {"groups": _groups(dims, mats, cat.ring),
             "truncated_at_column": i_max,
             "hh_vanishes_above": 0 if separable else None,

@@ -2,7 +2,13 @@
 holds what a verb, a suite, the public API or a labelled oracle reaches
 (see `test_reachability.py`)."""
 
-from strathom.enrich import LinearCategory, algebra_from_table
+from strathom import checks
+from strathom.cyclo import (cyclic_group_table, group_category,
+                            symmetric_group_table)
+from strathom.enrich import (LinearCategory, algebra_from_table,
+                             group_algebra, linearize, matrix_algebra,
+                             truncated_polynomial_algebra)
+from strathom.exactla import QQ, RingFp
 from strathom.fincat import FactorizationSystem, factorizations
 
 
@@ -28,6 +34,47 @@ def product_algebra(a: LinearCategory, b: LinearCategory) -> LinearCategory:
     unit = {f"l.{k}": c for k, c in a.unit_vector(obj).items()}
     unit.update({f"r.{k}": c for k, c in b.unit_vector(obj).items()})
     return algebra_from_table(a.ring, basis, table, unit)
+
+
+def separability_pool():
+    """(name, algebra) pairs on which the trace-form certificate is tested:
+    `checks.mixed_algebras()` (Z included), `random_associative_algebra`
+    over Q and F_5 for seeds 0-59, Q[Z/n] and F_p[Z/n] for p not dividing
+    n, Q[S_3], M_2 and M_3 over Q, the seven `small_category_pool`
+    categories linearized over Q and F_5 (several objects among them), and
+    the inputs that must not be certified: Q[x]/x^2, F_3[Z/3], F_2[Z/4],
+    and M_2(F_2), which is separable with a zero trace form.  An algebra
+    drawn twice (the random families repeat) is kept once, under its first
+    name."""
+    pool = [("Q[x]/x^2", truncated_polynomial_algebra(QQ, 2)),
+            ("F_3[Z/3]", group_algebra(RingFp(3), *cyclic_group_table(3))),
+            ("F_2[Z/4]", group_algebra(RingFp(2), *cyclic_group_table(4))),
+            ("M_2(F_2)", matrix_algebra(RingFp(2), 2))]
+    pool += [(name, alg) for name, alg, _ in checks.mixed_algebras()]
+    for seed in range(60):
+        for ring in (QQ, RingFp(5)):
+            pool.append((f"random{seed}-{ring.name}",
+                         checks.random_associative_algebra(ring, seed)))
+    for n in range(1, 8):
+        for ring in (QQ, RingFp(2), RingFp(3), RingFp(5), RingFp(7)):
+            if getattr(ring, "p", 0) and n % ring.p == 0:
+                continue
+            pool.append((f"{ring.name}[Z/{n}]",
+                         group_algebra(ring, *cyclic_group_table(n))))
+    pool += [("Q[S_3]", linearize(group_category(*symmetric_group_table(3)),
+                                  QQ)),
+             ("M_2(Q)", matrix_algebra(QQ, 2)),
+             ("M_3(Q)", matrix_algebra(QQ, 3))]
+    for name, cat in checks.small_category_pool():
+        pool += [(f"{name}-{ring.name}", linearize(cat, ring))
+                 for ring in (QQ, RingFp(5))]
+    seen, out = set(), []
+    for name, alg in pool:
+        key = repr(alg.to_json_dict())
+        if key not in seen:
+            seen.add(key)
+            out.append((name, alg))
+    return out
 
 
 def zero_algebra(ring) -> LinearCategory:

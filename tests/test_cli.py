@@ -11,8 +11,16 @@ import pytest
 from hypothesis import (HealthCheck, assume, example, given, settings,
                         strategies as st)
 
+from strathom import cli
 from strathom.cli import (_INPUTS, _cache_key, _input_fingerprint,
                           build_parser, main, render_table)
+from strathom.enrich import (is_separable, matrix_algebra,
+                             separable_by_trace_form,
+                             truncated_polynomial_algebra)
+from strathom.exactla import QQ
+from strathom.facthom import cyclic_homology, hochschild_homology
+
+from helpers import separability_pool
 
 
 IDEM = {
@@ -610,6 +618,119 @@ def test_negative_cyclic_mode(inputs, capsys):
     assert data["certificate"] == "separable"
     assert data["hh_vanishes_above"] == 0
     assert [g["rank"] for g in data["groups"]] == [1, 0, 0]
+
+
+def _record_engine_calls(monkeypatch):
+    """The CLI's calls of `hochschild_homology` and `cyclic_homology`, as
+    (name, n_max) in a list that fills as they happen; the calls still
+    run."""
+    calls = []
+    for engine in (hochschild_homology, cyclic_homology):
+        def record(alg, n_max, engine=engine):
+            calls.append((engine.__name__, n_max))
+            return engine(alg, n_max)
+        monkeypatch.setattr(cli, engine.__name__, record)
+    return calls
+
+
+def _hh_and_hc_through_the_cli(tmp_path, capsys, monkeypatch, pool):
+    """For each (name, algebra) of `pool`: the name, the top degree asked,
+    and per verb the engine calls the CLI made and the groups it printed."""
+    calls = _record_engine_calls(monkeypatch)
+    for k, (name, alg) in enumerate(pool):
+        top = 3 if sum(map(len, alg.hom_basis.values())) <= 4 else 2
+        path = tmp_path / f"algebra{k}.json"
+        path.write_text(json.dumps(alg.to_json_dict()))
+        runs = {}
+        for verb in ("hh", "hc"):
+            calls.clear()
+            code, out = run(capsys, verb, "--algebra", str(path),
+                            "--max-degree", str(top))
+            assert code == 0, name
+            runs[verb] = (list(calls), json.loads(out)["groups"])
+        yield name, alg, top, runs
+
+
+def test_certified_hh_and_hc_equal_the_full_complex(tmp_path, capsys,
+                                                    monkeypatch):
+    # on every algebra of the pools that the trace form certifies, the CLI
+    # builds only the boundary C_1 -> C_0, and prints the groups that the
+    # full complex gives
+    pool = [(n, a) for n, a in separability_pool()
+            if separable_by_trace_form(a)]
+    assert len(pool) >= 40
+    for name, alg, top, runs in _hh_and_hc_through_the_cli(
+            tmp_path, capsys, monkeypatch, pool):
+        for verb, engine in (("hh", hochschild_homology),
+                             ("hc", cyclic_homology)):
+            calls, groups = runs[verb]
+            assert calls == [("hochschild_homology", 0)], (name, verb)
+            assert groups == engine(alg, top), (name, verb)
+
+
+def test_inputs_without_a_certificate_stay_on_the_complex(tmp_path, capsys,
+                                                          monkeypatch):
+    # Z, a radical, or a degenerate trace form over F_p: the CLI runs the
+    # full complex, whatever is_separable says
+    pool = [(n, a) for n, a in separability_pool()
+            if not separable_by_trace_form(a)]
+    names = {name for name, _ in pool}
+    assert {"Z[Z/2]", "Q[x]/x^2", "F_3[Z/3]", "F_2[Z/4]",
+            "M_2(F_2)"} <= names
+    assert sum(name.startswith("random") and not is_separable(alg)
+               for name, alg in pool) >= 5
+    for name, alg, top, runs in _hh_and_hc_through_the_cli(
+            tmp_path, capsys, monkeypatch, pool):
+        assert runs["hh"][0] == [("hochschild_homology", top)], name
+        assert runs["hc"][0] == [("cyclic_homology", top)], name
+
+
+def _oversized(tmp_path, argv):
+    """`strathom *argv` under `_under_a_memory_cap`, with ALGEBRA in argv
+    standing for M_2(Q) and POLY for Q[x]/x^3, timed: (exit code, parsed
+    stdout, seconds)."""
+    files = {}
+    for key, alg in (("ALGEBRA", matrix_algebra(QQ, 2)),
+                     ("POLY", truncated_polynomial_algebra(QQ, 3))):
+        files[key] = tmp_path / f"{key.lower()}.json"
+        files[key].write_text(json.dumps(alg.to_json_dict()))
+    start = time.perf_counter()
+    code, result = _under_a_memory_cap(
+        [str(files.get(arg, arg)) for arg in argv])
+    return code, result, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("argv", [
+    # certified: 10^12 + 1 groups do not fit in any memory
+    ("hh", "--algebra", "ALGEBRA", "--max-degree", str(10 ** 12)),
+    ("hc", "--algebra", "ALGEBRA", "--max-degree", str(10 ** 12)),
+    # on the complex: dim C_n = 3·2^n, past any memory by n = 60
+    ("hh", "--algebra", "POLY", "--max-degree", "60"),
+    ("hc", "--algebra", "POLY", "--max-degree", "60"),
+    ("hc", "--negative", "--algebra", "ALGEBRA", "--max-degree", "2",
+     "--i-max", "30"),
+    ("hc", "--negative", "--algebra", "POLY", "--max-degree", str(10 ** 12)),
+], ids=["hh-certified", "hc-certified", "hh-complex", "hc-complex",
+        "negative-columns", "negative-degree"])
+def test_an_oversized_degree_is_refused_before_anything_is_built(tmp_path,
+                                                                 argv):
+    # under a 1 GiB cap these ran into a MemoryError traceback, and without
+    # a cap --max-degree 10^8 ran past 20 s
+    code, result, seconds = _oversized(tmp_path, argv)
+    assert code == 1
+    assert result["error"]["type"] == "validation"
+    assert "bytes of memory" in result["error"]["report"][0]
+    assert seconds < 2
+
+
+def test_a_large_degree_of_a_separable_algebra_is_answered(tmp_path):
+    # M_2(Q) to degree 30 under the cap: the trace form certifies it, so
+    # only HH_0 is built
+    code, result, seconds = _oversized(
+        tmp_path, ("hh", "--algebra", "ALGEBRA", "--max-degree", "30"))
+    assert code == 0
+    assert [g["rank"] for g in result["groups"]] == [1] + [0] * 30
+    assert seconds < 2
 
 
 def test_unparseable_cache_entry_is_a_miss_and_is_overwritten(inputs, tmp_path,

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -13,8 +14,8 @@ from strathom.enrich import (LinearCategory, algebra_from_table, linearize,
                              corr_pushforward, corr_pushforward_index_check,
                              corr_pushforward_witness,
                              ground_ring_algebra, group_algebra,
-                             matrix_algebra, nerve,
-                             pointed_pushforward,
+                             is_separable, matrix_algebra, nerve,
+                             pointed_pushforward, separable_by_trace_form,
                              span_of_pointed_map, tensor_all_sets,
                              truncated_polynomial_algebra,
                              validate_linear_category,
@@ -28,7 +29,7 @@ from strathom.cyclo import (cyclic_group_table, free_monoid_category,
                             group_category, quaternion_group_table,
                             symmetric_group_table)
 
-from helpers import product_algebra, zero_algebra
+from helpers import product_algebra, separability_pool, zero_algebra
 
 
 # -- validation ---------------------------------------------------------------
@@ -537,3 +538,58 @@ def test_commutator_cokernel_of_commutative_algebra_is_everything():
 def test_commutator_cokernel_of_matrix_algebra_is_rank_one():
     rank, torsion = commutator_cokernel_invariants(matrix_algebra(QQ, 2))
     assert (rank, torsion) == (1, ())
+
+
+# -- the trace-form certificate ------------------------------------------------------
+
+def test_a_nondegenerate_trace_form_proves_separability():
+    # sound on every ring: True only for a separable algebra, False only for
+    # one that is not, and nothing at all over Z
+    verdicts = []
+    for name, alg in separability_pool():
+        verdict = separable_by_trace_form(alg)
+        if verdict is not None:
+            assert verdict is is_separable(alg), name
+        if not alg.ring.is_field:
+            assert verdict is None, name
+        verdicts.append(verdict)
+    assert verdicts.count(True) >= 40 and verdicts.count(False) >= 5
+
+
+def test_over_q_the_trace_form_decides_separability():
+    # Dickson's criterion: in characteristic 0 a nondegenerate trace form is
+    # the same as separability, so over Q the solve is never needed
+    rational = [(n, a) for n, a in separability_pool() if a.ring == QQ]
+    assert len(rational) >= 20
+    for name, alg in rational:
+        assert separable_by_trace_form(alg) is is_separable(alg), name
+
+
+@pytest.mark.parametrize("alg, verdict", [
+    (matrix_algebra(RingFp(2), 2), None),   # separable, yet T = 2 tr(ab) = 0
+    (matrix_algebra(RingFp(3), 2), True),
+    (matrix_algebra(ZZ, 2), None),          # separable, but Z is never read
+    (group_algebra(ZZ, *cyclic_group_table(3)), None),
+    (group_algebra(RingFp(3), *cyclic_group_table(3)), None),
+    (truncated_polynomial_algebra(QQ, 2), False),
+    (zero_algebra(QQ), True),
+], ids=["M_2(F_2)", "M_2(F_3)", "M_2(Z)", "Z[Z/3]", "F_3[Z/3]", "Q[x]/x^2",
+        "zero"])
+def test_trace_form_verdicts_on_named_algebras(alg, verdict):
+    assert separable_by_trace_form(alg) is verdict
+
+
+def test_trace_form_verdict_does_not_depend_on_the_basis():
+    # Q[Z/3] and F_7[Z/3] with e_k standing for c_k·g^k, so that no
+    # structure constant is 1: T changes by a congruence, not in rank
+    c = [Fraction(1), Fraction(2, 3), Fraction(5, 4)]
+    basis = ["e0", "e1", "e2"]
+    table = {(f"e{i}", f"e{j}"): {f"e{(i + j) % 3}":
+                                  c[i] * c[j] / c[(i + j) % 3]}
+             for i in range(3) for j in range(3)}
+    for ring in (QQ, RingFp(7)):
+        alg = algebra_from_table(ring, basis, {
+            pair: ring.reduce(vec) for pair, vec in table.items()},
+            {"e0": 1})
+        assert validate_linear_category(alg) == []
+        assert separable_by_trace_form(alg) is True

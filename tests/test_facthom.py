@@ -13,7 +13,7 @@ from strathom.enrich import (ground_ring_algebra, group_algebra,
                              truncated_polynomial_algebra,
                              commutator_cokernel_invariants)
 from strathom.facthom import (ChainComplexBundle, LinearCyclicLevel,
-                              _bar_elements,
+                              _bar_elements, complex_dims,
                               SetCyclicBar, cart_facthom_disk,
                               cyclic_homology, enr_facthom_disk,
                               facthom_set_pi0, hochschild_homology,
@@ -29,7 +29,7 @@ from strathom.cyclo import (cyclic_group_table, free_monoid_category,
                             group_category, quaternion_group_table,
                             symmetric_group_table)
 
-from helpers import product_algebra, zero_algebra
+from helpers import product_algebra, separability_pool, zero_algebra
 
 
 POSET = poset_category(("0", "1"), lambda a, b: a <= b)
@@ -429,6 +429,22 @@ def test_negative_cyclic_claims_exact_only_with_a_certificate(name, alg,
     if separable:
         hh = hochschild_homology(alg, 3)
         assert all(g["rank"] == 0 and not g["torsion"] for g in hh[1:])
+
+
+def test_complex_dims_are_the_built_complex_dims():
+    # the dims the CLI sizes its memory check by, from the hom sizes alone,
+    # against the bases the complex enumerates; the generator ends only
+    # once every later dim is 0
+    pool = separability_pool() + [
+        ("zero", zero_algebra(QQ)), ("Z[x]/x^3",
+                                     truncated_polynomial_algebra(ZZ, 3))]
+    for name, alg in pool:
+        built = ChainComplexBundle(alg, 3).dims
+        counted = list(itertools.islice(complex_dims(alg), 4))
+        assert counted + [0] * (4 - len(counted)) == built, name
+    assert list(complex_dims(ground_ring_algebra(QQ))) == [1]
+    assert list(complex_dims(linearize(POSET, QQ))) == [2, 0]
+    assert list(complex_dims(zero_algebra(QQ))) == [0]
 
 
 def test_negative_cyclic_rejects_a_negative_column_bound():
