@@ -4,9 +4,10 @@ Verbs map onto the library entry points: hh / hc (linear backends), thh-set
 / tc0 / trace / facthom (Set backend), and check (invariant suites).  All
 numeric output is exact -- integers and "p/q" strings, never floats -- and
 repeated runs with identical inputs produce byte-identical output.  Results
-are cached by content hash of inputs and options, the package version and a
-digest of the package's sources; cache writes go through a temp file and an
-atomic rename.
+are cached by a hash of the options, the sha256 of each input text, the
+package version and a digest of the package's sources.  An entry holds its
+key and verb next to the rendered JSON output, which a hit writes as it is;
+cache writes go through a temp file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -152,8 +153,9 @@ def _cache_lookup(cache_dir, key):
         return None
 
 
-def _cache_store(cache_dir, key, text):
-    """Best effort: a cache that cannot be written is skipped."""
+def _cache_store(cache_dir, key, verb, text):
+    """Best effort: a cache that cannot be written is skipped.  The entry
+    holds its key and verb next to `text`, the rendered JSON output."""
     if not cache_dir:
         return
     tmp = None
@@ -161,7 +163,8 @@ def _cache_store(cache_dir, key, text):
         os.makedirs(cache_dir, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.write(json.dumps({"key": key, "verb": verb, "text": text},
+                                sort_keys=True))
         os.replace(tmp, os.path.join(cache_dir, f"{key}.json"))
     except OSError:
         if tmp is not None:
@@ -171,26 +174,23 @@ def _cache_store(cache_dir, key, text):
                 pass
 
 
-def _cache_entry(key, verb, result) -> str:
-    return json.dumps({"key": key, "verb": verb, "result": result},
-                      sort_keys=True)
-
-
-def _cached_result(text, key, verb):
-    """The result held by a cache entry, or None (a miss) for an absent
-    entry, one that does not parse (too deeply nested included), or one made
-    for another key or verb."""
-    if text is None:
+def _cached_output(entry, key, verb, out):
+    """What a cache entry prints for `--out out`: its stored text as it is,
+    or that text's table.  None (a miss) for an absent entry, one that does
+    not parse (too deeply nested included), one made for another key or
+    verb, or a text that is not a str or, for a table, does not parse."""
+    if entry is None:
         return None
     try:
-        entry = json.loads(text)
+        entry = json.loads(entry)
+        if (not isinstance(entry, dict) or entry.get("key") != key
+                or entry.get("verb") != verb
+                or not isinstance(entry.get("text"), str)):
+            return None
+        text = entry["text"]
+        return text if out == "json" else render_table(json.loads(text))
     except (ValueError, RecursionError):
         return None
-    if (not isinstance(entry, dict) or entry.get("key") != key
-            or entry.get("verb") != verb):
-        return None
-    result = entry.get("result")
-    return result if isinstance(result, dict) else None
 
 
 # -- rendering ---------------------------------------------------------------------
@@ -427,11 +427,13 @@ _INPUTS = ("algebra", "manifold", "category")
 def _input_fingerprint(args, texts):
     """Hashable view of everything that determines the result, the code
     that computes it included: every parsed option but the output format
-    and the cache directory, with the input texts in place of their
-    paths."""
+    and the cache directory, with the sha256 of each input text in place
+    of its path."""
     payload = {k: v for k, v in vars(args).items()
                if k not in ("cache", "out", "fn")}
-    payload.update(texts, version=__version__, code=_code_digest())
+    payload.update({attr: hashlib.sha256(text.encode()).hexdigest()
+                    for attr, text in texts.items()},
+                   version=__version__, code=_code_digest())
     return payload
 
 
@@ -447,25 +449,34 @@ def main(argv=None) -> int:
         texts = {attr: _read_input(getattr(args, attr))
                  for attr in _INPUTS if hasattr(args, attr)}
         key = _cache_key(_input_fingerprint(args, texts)) if cache else None
-        result = _cached_result(_cache_lookup(cache, key), key, args.verb)
-        if result is None:
+        output = _cached_output(_cache_lookup(cache, key), key, args.verb,
+                                args.out)
+        failed = False
+        if output is None:
             args.data = {attr: _load_json(getattr(args, attr), text)
                          for attr, text in texts.items()}
             result = args.fn(args)
-            _cache_store(cache, key, _cache_entry(key, args.verb, result))
+            failed = args.verb == "check" and bool(result.get("failed"))
+            if cache or args.out == "json":
+                output = render_json(result)
+                _cache_store(cache, key, args.verb, output)
+            if args.out == "table":
+                output = render_table(result)
     except ValidationFailure as exc:
-        sys.stdout.write(render_json(
-            {"error": {"type": "validation", "report": list(exc.report)}}))
-        return 1
+        report = exc.report
+    except MemoryError:
+        # reported below, once the traceback and what it holds are freed
+        report = ["the computation ran out of memory"]
     except SchemaError as exc:
         sys.stdout.write(render_json(
             {"error": {"type": "schema", "message": str(exc)}}))
         return 2
-    text = render_json(result) if args.out == "json" else render_table(result)
-    sys.stdout.write(text)
-    if args.verb == "check" and result.get("failed"):
-        return 1
-    return 0
+    else:
+        sys.stdout.write(output)
+        return 1 if failed else 0
+    sys.stdout.write(render_json(
+        {"error": {"type": "validation", "report": list(report)}}))
+    return 1
 
 
 if __name__ == "__main__":

@@ -723,6 +723,18 @@ def test_an_oversized_degree_is_refused_before_anything_is_built(tmp_path,
     assert seconds < 2
 
 
+def test_running_out_of_memory_is_a_validation_failure(tmp_path):
+    # Q[x]/x^3 to degree 21 passes the memory bound's loose estimate on a
+    # machine of 8 GB and then runs out of the 1 GiB cap while it builds:
+    # a MemoryError, which must not end in a traceback.  A machine with
+    # less memory refuses it up front, with a report of the same shape
+    code, result, _ = _oversized(
+        tmp_path, ("hh", "--algebra", "POLY", "--max-degree", "21"))
+    assert code == 1
+    assert result["error"]["type"] == "validation"
+    assert "memory" in result["error"]["report"][0]
+
+
 def test_a_large_degree_of_a_separable_algebra_is_answered(tmp_path):
     # M_2(Q) to degree 30 under the cap: the trace form certifies it, so
     # only HH_0 is built
@@ -762,6 +774,9 @@ def test_deeply_nested_cache_entry_is_a_miss_and_is_overwritten(
     assert entry.read_text() == stored
 
 
+FORGED = cli.render_json({"verb": "tc0", "tc0": ["forged"]})
+
+
 def _stored_entry(cache):
     (entry,) = cache.glob("*.json")
     return entry, json.loads(entry.read_text())
@@ -776,7 +791,7 @@ def test_entry_for_another_verb_or_key_is_a_miss_and_is_overwritten(
     entry, stored = _stored_entry(cache)
     assert stored["verb"] == "tc0" and stored["key"] == entry.stem
     stored_text = entry.read_text()
-    tampered = dict(stored, result={"verb": "tc0", "tc0": ["forged"]})
+    tampered = dict(stored, text=FORGED)
     tampered[field] = value
     entry.write_text(json.dumps(tampered))
     code, out = run(capsys, *argv)
@@ -794,8 +809,7 @@ def test_entry_made_by_other_code_is_not_served(inputs, tmp_path, capsys,
     monkeypatch.setattr(cli, "_code_digest", lambda: "other sources")
     run(capsys, *argv)
     entry, stored = _stored_entry(cache)
-    entry.write_text(json.dumps(dict(stored, result={"verb": "tc0",
-                                                     "tc0": ["forged"]})))
+    entry.write_text(json.dumps(dict(stored, text=FORGED)))
     # under its own digest the forged entry is served ...
     assert "forged" in run(capsys, *argv)[1]
     monkeypatch.undo()
@@ -803,6 +817,97 @@ def test_entry_made_by_other_code_is_not_served(inputs, tmp_path, capsys,
     code, out = run(capsys, *argv)
     assert code == 0 and out == fresh
     assert len(list(cache.glob("*.json"))) == 2
+
+
+def _caching_verbs(inputs, tmp_path):
+    """An argv for each verb that caches, `hc --negative` and both
+    `facthom` backends included; HH over Z of Z[Z/2] has torsion."""
+    from strathom import ZZ, linearize
+    from strathom.cyclo import cyclic_group_table, group_category
+    z2 = tmp_path / "z-z2.json"
+    z2.write_text(json.dumps(linearize(group_category(
+        *cyclic_group_table(2)), ZZ).to_json_dict()))
+    interval = tmp_path / "interval.json"
+    interval.write_text(json.dumps(PATH2))
+    return {
+        "hh": ("hh", "--algebra", str(z2), "--max-degree", "3"),
+        "hc": ("hc", "--algebra", str(z2), "--max-degree", "3"),
+        "hc-negative": ("hc", "--negative", "--algebra", str(z2),
+                        "--max-degree", "2", "--i-max", "1"),
+        "thh-set": ("thh-set", "--category", inputs["idem"]),
+        "tc0": ("tc0", "--category", inputs["idem"], "--degrees", "2,3"),
+        "trace": ("trace", "--category", inputs["idem"]),
+        "facthom-set": ("facthom", "--manifold", inputs["s1"],
+                        "--category", inputs["idem"]),
+        "facthom-linear": ("facthom", "--manifold", str(interval),
+                           "--category", inputs["q"]),
+    }
+
+
+@pytest.mark.parametrize("out", ["json", "table"])
+def test_a_hit_prints_the_bytes_of_the_miss(inputs, tmp_path, capsys, out):
+    """On every verb that caches: an uncached run, the miss that stores the
+    entry and the hit that serves it print the same bytes; the entry holds
+    the JSON output, which a hit of the other format reads too."""
+    for name, argv in _caching_verbs(inputs, tmp_path).items():
+        cache = tmp_path / f"cache-{name}"
+        argv = (*argv, "--out", out)
+        runs = [run(capsys, *argv)] + [run(capsys, *argv, "--cache",
+                                           str(cache)) for _ in range(2)]
+        assert runs[0][0] == 0 and runs[0] == runs[1] == runs[2], name
+        _, stored = _stored_entry(cache)
+        assert stored["text"] == run(capsys, *argv[:-1], "json")[1], name
+        other = "table" if out == "json" else "json"
+        assert (run(capsys, *argv[:-1], other, "--cache", str(cache))
+                == run(capsys, *argv[:-1], other)), name
+
+
+@pytest.mark.parametrize("text", [["forged"], {"tc0": "forged"}, 7, None])
+def test_entry_whose_text_is_not_a_str_is_a_miss_and_is_overwritten(
+        inputs, tmp_path, capsys, text):
+    cache = tmp_path / "cache"
+    argv = ("tc0", "--category", inputs["idem"], "--cache", str(cache))
+    _, fresh = run(capsys, *argv)
+    entry, stored = _stored_entry(cache)
+    stored_text = entry.read_text()
+    entry.write_text(json.dumps(dict(stored, text=text)))
+    assert run(capsys, *argv) == (0, fresh)
+    assert entry.read_text() == stored_text
+
+
+@pytest.mark.parametrize("text", ["{not json", "[" * 100_000, ""])
+def test_table_hit_whose_text_does_not_parse_is_a_miss(inputs, tmp_path,
+                                                       text):
+    cache = tmp_path / "cache"
+    argv = ["tc0", "--category", inputs["idem"], "--out", "table"]
+    fresh = _main(argv)
+    _main(argv + ["--cache", str(cache)])
+    entry, stored = _stored_entry(cache)
+    stored_text = entry.read_text()
+    entry.write_text(json.dumps(dict(stored, text=text)))
+    assert _main(argv + ["--cache", str(cache)]) == fresh
+    assert fresh[0] == 0 and fresh[2] == ""
+    assert entry.read_text() == stored_text
+
+
+def test_the_key_follows_the_input_bytes_and_not_the_path(inputs, tmp_path,
+                                                          capsys):
+    """Inputs enter the key as sha256 digests of their text: the same bytes
+    under another path hit the entry, and one changed byte, even one that
+    parses to the same document, is another key."""
+    cache = tmp_path / "cache"
+    text = Path(inputs["idem"]).read_text()
+    _, fresh = run(capsys, "thh-set", "--category", inputs["idem"],
+                   "--cache", str(cache))
+    for name, changed in (("same", text), ("space", text + " "),
+                          ("name", text.replace("phi", "psi"))):
+        path = tmp_path / name / "idem.json"
+        path.parent.mkdir()
+        path.write_text(changed)
+        code, out = run(capsys, "thh-set", "--category", str(path),
+                        "--cache", str(cache))
+        assert code == 0 and (out == fresh) == (name != "name")
+    assert len(list(cache.glob("*.json"))) == 3
 
 
 def test_cache_path_naming_a_file_is_skipped(inputs, tmp_path, capsys):
