@@ -11,7 +11,8 @@ import itertools
 import random
 from collections import Counter
 
-from . import cyclo, enrich, exactla, facthom, fincat, indexing, manifold
+from . import (cyclo, enrich, exactla, facthom, fanout, fincat, indexing,
+               manifold)
 from .exactla import QQ, ZZ, RingFp
 from .fincat import FinCategory, SetDiagram, monoid_category
 from .manifold import (BundleMap, Edge, FinSpan, GraphManifold,
@@ -598,21 +599,42 @@ def corr_span_pairs():
                 yield a, out_of
 
 
+def _corr_part(part, parts):
+    """The index checks of one part of the corr suite's pairs: those whose
+    first span a has its place i in `corr_span_pairs()` equal to part mod
+    parts.  Returns [the number of pairs that pass, [[i, j, message], ...]]
+    with j the place of the second span in a's list."""
+    checked, failures = 0, []
+    for i, (a, out_of) in itertools.islice(
+            enumerate(corr_span_pairs()), part, None, parts):
+        family = {s: tuple(range((s % 3) + 1)) for s in a.left}
+        inner = enrich.corr_pushforward(a, family)
+        for j, b in enumerate(out_of):
+            try:
+                enrich.corr_pushforward_index_check(a, b, family, inner=inner)
+            except AssertionError as exc:
+                failures.append([i, j, str(exc)])
+                continue
+            checked += 1
+    return [checked, failures]
+
+
+def _corr_pairs_checked(parts):
+    """The corr suite's index checks, split into `parts` interleaved parts
+    (see `_corr_part`) that `fanout.run_parts` spreads over processes.
+    Returns the number of pairs that pass and the failure messages in pair
+    order: the serial loop's, for any `parts`."""
+    results = fanout.run_parts(_corr_part, parts)
+    failures = sorted(f for _, found in results for f in found)
+    return (sum(checked for checked, _ in results),
+            [message for _, _, message in failures])
+
+
 def suite_corr() -> dict:
     """Pushforward functoriality over the span category, and agreement with
     pointed-map monodromy."""
     rep = Report("corr")
-    checked = 0
-    for a, out_of in corr_span_pairs():
-        family = {s: tuple(range((s % 3) + 1)) for s in a.left}
-        inner = enrich.corr_pushforward(a, family)
-        for b in out_of:
-            try:
-                enrich.corr_pushforward_index_check(a, b, family, inner=inner)
-            except AssertionError as exc:
-                rep.failures.append(str(exc))
-                continue
-            checked += 1
+    checked, rep.failures = _corr_pairs_checked(fanout.usable_cpus())
     rep.passed += checked
     rep.check(checked > 50000, f"only {checked} span pairs checked")
     # identity span is neutral on families

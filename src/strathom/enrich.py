@@ -162,6 +162,11 @@ def corr_pushforward_index_check(a: FinSpan, b: FinSpan, family, inner=None):
         two_step = {(u, v): values
                     for v, group in zip(step2[t].slots, step2[t].factors)
                     for u, values in zip(group.slots, group.factors)}
+        # the common case in one comparison: equal lengths rule out a
+        # repeated composite slot, which the dict would otherwise merge
+        if (len(composite.slots) == len(two_step)
+                and dict(zip(composite.slots, composite.factors)) == two_step):
+            continue
         if (len(composite.slots) != len(two_step)
                 or two_step.keys() != set(composite.slots)):
             raise _not_functorial(t, "composite and two-step slots differ")

@@ -609,6 +609,19 @@ class FinSpan:
         self._right_fibers = self._left_fibers = None
 
     @classmethod
+    def _over_owned_legs(cls, left, apex, right, to_left, to_right,
+                         right_fibers):
+        """A span on tuples and leg dicts that its builder made for it and
+        holds nowhere else: the legs are read-only views of those dicts,
+        not copies, and `right_fibers` is the layout the builder filled."""
+        span = cls.__new__(cls)
+        span.left, span.apex, span.right = left, apex, right
+        span.to_left = MappingProxyType(to_left)
+        span.to_right = MappingProxyType(to_right)
+        span._right_fibers, span._left_fibers = right_fibers, None
+        return span
+
+    @classmethod
     def identity(cls, s) -> "FinSpan":
         s = tuple(s)
         return cls(s, s, s, {x: x for x in s}, {x: x for x in s})
@@ -626,11 +639,13 @@ class FinSpan:
 
     @property
     def left_fibers(self):
-        """s -> the apex elements over s, in apex order."""
+        """s -> (u, image of u in T) for the apex elements u over s, in apex
+        order."""
         if self._left_fibers is None:
             groups = {}
             for u in self.apex:
-                groups.setdefault(self.to_left[u], []).append(u)
+                groups.setdefault(self.to_left[u], []).append(
+                    (u, self.to_right[u]))
             self._left_fibers = groups
         return self._left_fibers
 
@@ -647,7 +662,8 @@ def _fiber_layout(groups, to_left):
     order: the fiber sorted by `repr` (stably), and its images in S."""
     layout = {}
     for t, fiber in groups.items():
-        fiber.sort(key=repr)
+        if len(fiber) > 1:
+            fiber.sort(key=repr)
         layout[t] = (tuple(fiber), tuple(map(to_left.__getitem__, fiber)))
     return layout
 
@@ -657,24 +673,23 @@ def compose_spans(a: FinSpan, b: FinSpan) -> FinSpan:
     each u of a's apex pairs with b's left fiber over its image, so the apex
     is ordered by u in a.apex order, then by v in b.apex order.  The walk
     groups the apex by its image in T as it goes, so the composite gets its
-    `right_fibers` without a second pass."""
+    `right_fibers` without a second pass, and the legs it builds become
+    the composite's own."""
     if (a.right != b.left
             and sorted(map(repr, a.right)) != sorted(map(repr, b.left))):
         raise ValueError("span endpoints do not match")
-    over, b_right = b.left_fibers, b.to_right
-    a_left, a_right = a.to_left, a.to_right
+    over, a_left, a_right = b.left_fibers, a.to_left, a.to_right
     apex, to_left, to_right, groups = [], {}, {}, {}
     for u in a.apex:
         s = a_left[u]
-        for v in over.get(a_right[u], ()):
-            uv, t = (u, v), b_right[v]
+        for v, t in over.get(a_right[u], ()):
+            uv = (u, v)
             apex.append(uv)
             to_left[uv] = s
             to_right[uv] = t
             groups.setdefault(t, []).append(uv)
-    span = FinSpan(a.left, apex, b.right, to_left, to_right)
-    span._right_fibers = _fiber_layout(groups, to_left)
-    return span
+    return FinSpan._over_owned_legs(a.left, tuple(apex), b.right, to_left,
+                                    to_right, _fiber_layout(groups, to_left))
 
 
 def spans_isomorphic(a: FinSpan, b: FinSpan) -> bool:

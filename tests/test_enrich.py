@@ -1,12 +1,16 @@
 import itertools
+import json
 import math
+import os
+import signal
 import random
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from strathom import checks, enrich, manifold
+from strathom import checks, enrich, fanout, manifold
 from strathom.exactla import QQ, ZZ, RingFp
 from strathom.enrich import (LinearCategory, algebra_from_table, linearize,
                              monoid_algebra,
@@ -304,6 +308,170 @@ def test_suite_corr_reports_a_faulty_composite(monkeypatch):
     report = checks.suite_corr()
     assert report["failed"] > 20
     assert all("functoriality" in f for f in report["failures"])
+
+
+def _slice_corr_pairs(monkeypatch, count):
+    """Only the pairs of the first `count` spans a of the corr suite."""
+    pairs = checks.corr_span_pairs
+    monkeypatch.setattr(checks, "corr_span_pairs",
+                        lambda: itertools.islice(pairs(), count))
+
+
+def _serial_corr_loop():
+    """The corr suite's pair loop as one inline loop: the number of pairs
+    that pass and the failure messages in pair order."""
+    checked, failures = 0, []
+    for a, out_of in checks.corr_span_pairs():
+        family = {s: tuple(range((s % 3) + 1)) for s in a.left}
+        for b in out_of:
+            try:
+                enrich.corr_pushforward_index_check(a, b, family)
+            except AssertionError as exc:
+                failures.append(str(exc))
+                continue
+            checked += 1
+    return checked, failures
+
+
+def _recorded_forks(monkeypatch):
+    """The pids of the children forked from here on."""
+    pids, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def _assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.parametrize("fault", ["drop", "duplicate", "swap"])
+def test_split_corr_loop_gives_the_serial_report(monkeypatch, fault):
+    """Split into 1, 2 or 3 parts, the pair loop counts the same passes and
+    reports the same failures in the same order as one inline loop; so
+    does the suite's report.  Eleven spans a: the parts are uneven."""
+    _slice_corr_pairs(monkeypatch, 11)
+    faulty = _faulty_compose(fault)
+    # an empty composite has no apex element to duplicate or swap
+    monkeypatch.setattr(manifold, "compose_spans", lambda a, b: (
+        faulty(a, b) if compose_spans(a, b).apex else compose_spans(a, b)))
+
+    def index_check(a, b, family, inner=None):
+        """The index check, its failures naming their pair, so that the
+        order of the failures shows."""
+        try:
+            corr_pushforward_index_check(a, b, family, inner=inner)
+        except AssertionError as exc:
+            raise AssertionError(f"{exc} on {a.left} <- {a.leg_multiset()} "
+                                 f"-> {a.right}, then {b.leg_multiset()} "
+                                 f"-> {b.right}") from None
+    monkeypatch.setattr(enrich, "corr_pushforward_index_check", index_check)
+    pids = _recorded_forks(monkeypatch)
+    serial = _serial_corr_loop()
+    assert len(serial[1]) > 20 and serial[0] > 0
+    assert len(set(serial[1])) == len(serial[1])
+    reports = []
+    for parts in (1, 2, 3):
+        assert checks._corr_pairs_checked(parts) == serial
+        monkeypatch.setattr(fanout, "usable_cpus", lambda: parts)
+        reports.append(checks.suite_corr())
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0]["failures"] == serial[1][:20]
+    assert len(pids) == 6
+    _assert_reaped(pids)
+
+
+def _no_fork():
+    raise BlockingIOError(11, "Resource temporarily unavailable")
+
+
+@pytest.mark.parametrize("how", ["whole", "exit", "kill", "truncated",
+                                 "status", "no-fork"])
+def test_a_child_without_a_whole_result_is_checked_again(monkeypatch, how):
+    """A child that exits with status 3 before it writes, is killed by a
+    signal, writes truncated JSON, or writes its whole result and then
+    exits with status 3, or a fork that fails: the parent checks that part
+    itself and gives the serial result.  A child that returns its whole
+    result leaves its part to no one else."""
+    _slice_corr_pairs(monkeypatch, 4)
+    monkeypatch.setattr(manifold, "compose_spans", _faulty_compose("drop"))
+    serial = checks._corr_pairs_checked(1)
+    parent, calls = os.getpid(), []
+
+    def index_check(*args, **kwargs):
+        if os.getpid() != parent and how == "exit":
+            os._exit(3)
+        if os.getpid() != parent and how == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        calls.append(None)
+        return corr_pushforward_index_check(*args, **kwargs)
+    monkeypatch.setattr(enrich, "corr_pushforward_index_check", index_check)
+    if how == "truncated":
+        monkeypatch.setattr(fanout, "json", SimpleNamespace(
+            dumps=lambda obj: "[1, [[0", loads=json.loads))
+    if how == "status":
+        exit_ = os._exit
+        monkeypatch.setattr(os, "_exit", lambda status: exit_(status or 3))
+    if how == "no-fork":
+        monkeypatch.setattr(os, "fork", _no_fork)
+    pids = _recorded_forks(monkeypatch)
+    assert checks._corr_pairs_checked(2) == serial
+    # the parent checked its own part, and the child's unless it was whole
+    in_parent = itertools.islice(checks.corr_span_pairs(), 0, None,
+                                 2 if how == "whole" else 1)
+    assert len(calls) == sum(len(out_of) for _, out_of in in_parent)
+    assert len(pids) == (how != "no-fork")
+    _assert_reaped(pids)
+
+
+def test_an_exception_in_a_child_part_surfaces_from_the_parent(monkeypatch):
+    """The fourth span a, the only one with three apex elements among the
+    first five, falls to the second of two parts: its child exits nonzero
+    and the parent, checking that part again, raises."""
+    _slice_corr_pairs(monkeypatch, 5)
+
+    def compose(a, b):
+        if len(a.apex) == 3:
+            raise RuntimeError("a span with three apex elements")
+        return compose_spans(a, b)
+    monkeypatch.setattr(manifold, "compose_spans", compose)
+    pids = _recorded_forks(monkeypatch)
+    assert checks._corr_part(0, 2)[1] == []
+    with pytest.raises(RuntimeError, match="three apex elements"):
+        checks._corr_pairs_checked(2)
+    assert len(pids) == 1
+    _assert_reaped(pids)
+
+
+def test_no_child_outlives_a_raising_parent(monkeypatch):
+    _slice_corr_pairs(monkeypatch, 6)
+    parent, compose = os.getpid(), compose_spans
+
+    def compose_or_raise(a, b):
+        if os.getpid() == parent:
+            raise RuntimeError("the parent's part fails")
+        return compose(a, b)
+    monkeypatch.setattr(manifold, "compose_spans", compose_or_raise)
+    monkeypatch.setattr(fanout, "usable_cpus", lambda: 3)
+    pids = _recorded_forks(monkeypatch)
+    with pytest.raises(RuntimeError, match="parent's part fails"):
+        checks.suite_corr()
+    assert len(pids) == 2
+    _assert_reaped(pids)
+
+
+def test_usable_cpus_follow_the_affinity(monkeypatch):
+    if hasattr(os, "sched_getaffinity") and hasattr(os, "fork"):
+        assert fanout.usable_cpus() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert fanout.usable_cpus() == 1
 
 
 def _faulty_pushforward(a, b, fault):

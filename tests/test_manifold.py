@@ -252,6 +252,13 @@ def test_span_legs_are_read_only():
     with pytest.raises(TypeError):
         span.to_left["u"] = 1
     assert span.right_fibers == {0: (("u",), (0,))}
+    # a composite's legs are views of dicts that only it holds
+    comp = compose_spans(span, FinSpan.identity((0, 1)))
+    with pytest.raises(TypeError):
+        comp.to_right[("u", 0)] = 1
+    with pytest.raises(TypeError):
+        comp.to_left[("u", 0)] = 1
+    assert comp.right_fibers == {0: ((("u", 0),), (0,))}
 
 
 def test_compose_spans_rejects_mismatched_middle_sets():
