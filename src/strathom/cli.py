@@ -251,40 +251,39 @@ def _require_room(alg, complex_top, n_groups):
             f"need more than the machine's {memory} bytes of memory"])
 
 
-def _homology(alg, max_degree, periodic):
-    """HH (or, `periodic`, HC) in degrees 0..max_degree.  When the trace
-    form certifies that the algebra is separable over a field, HH_n = 0 for
-    n > 0 (Weibel, *An Introduction to Homological Algebra*, §9.2), and so
-    by Connes' SBI sequence HC_2k = HH_0 and HC_2k+1 = 0 (Loday, *Cyclic
-    Homology*, §2.2): only HH_0, the boundary C_1 -> C_0, is computed.
-    Every other algebra gets the full complex."""
-    if separable_by_trace_form(alg):
-        _require_room(alg, 1, max_degree + 1)
+def cmd_homology(args):
+    """`hh`, `hc` and `hc --negative` in degrees 0..max_degree.  When the
+    trace form certifies that the algebra is separable over a field, HH_n =
+    0 for n > 0 (Weibel, *An Introduction to Homological Algebra*, §9.2).
+    Then Connes' SBI sequence gives HC_2k = HH_0 and HC_2k+1 = 0 (Loday,
+    *Cyclic Homology*, §2.2), and column i <= 0 of the truncated (b, B)
+    complex has homology HH_0 in total degree 2i alone: every differential
+    between columns vanishes, so HC^- is HH_0 in degree 0, 0 above, exactly.
+    Only HH_0, the boundary C_1 -> C_0, is computed.  Every other algebra
+    gets the full complex from the verb's library function."""
+    alg = load_algebra(args.algebra, args.data["algebra"])
+    top, negative = args.max_degree, getattr(args, "negative", False)
+    i_max = args.i_max if negative else 0
+    certified = separable_by_trace_form(alg)
+    _require_room(alg, 1 if certified else top + 2 * i_max + 1, top + 1)
+    if certified:
         rank = hochschild_homology(alg, 0)[0]["rank"]
-        return [{"degree": n, "torsion": [],
-                 "rank": rank if n % 2 == 0 and (periodic or n == 0) else 0}
-                for n in range(max_degree + 1)]
-    _require_room(alg, max_degree + 1, max_degree + 1)
-    engine = cyclic_homology if periodic else hochschild_homology
-    return engine(alg, max_degree)
-
-
-def cmd_hh(args):
-    alg = load_algebra(args.algebra, args.data["algebra"])
-    return {"verb": "hh", "ring": alg.ring.name,
-            "groups": _homology(alg, args.max_degree, periodic=False)}
-
-
-def cmd_hc(args):
-    alg = load_algebra(args.algebra, args.data["algebra"])
-    if args.negative:
-        _require_room(alg, args.max_degree + 2 * args.i_max + 1,
-                      args.max_degree + 1)
-        result = negative_cyclic_homology(alg, args.max_degree, args.i_max)
-        return {"verb": "hc", "ring": alg.ring.name, "mode": "negative",
-                **result}
-    return {"verb": "hc", "ring": alg.ring.name, "mode": "first-quadrant",
-            "groups": _homology(alg, args.max_degree, periodic=True)}
+        periodic = args.verb == "hc" and not negative
+        answer = {"groups": [
+            {"degree": n, "torsion": [],
+             "rank": rank if n % 2 == 0 and (periodic or n == 0) else 0}
+            for n in range(top + 1)]}
+        if negative:
+            answer.update(truncated_at_column=i_max, hh_vanishes_above=0,
+                          certificate="separable", exact=True)
+    elif negative:
+        answer = negative_cyclic_homology(alg, top, i_max)
+    else:
+        engine = cyclic_homology if args.verb == "hc" else hochschild_homology
+        answer = {"groups": engine(alg, top)}
+    if args.verb == "hc":
+        answer["mode"] = "negative" if negative else "first-quadrant"
+    return {"verb": args.verb, "ring": alg.ring.name, **answer}
 
 
 def cmd_thh_set(args):
@@ -382,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hh", help="Hochschild homology of a linear category")
     p.add_argument("--algebra", required=True)
     p.add_argument("--max-degree", type=int, default=4)
-    p.set_defaults(fn=cmd_hh)
+    p.set_defaults(fn=cmd_homology)
 
     p = sub.add_parser("hc", help="cyclic homology (first-quadrant)")
     p.add_argument("--algebra", required=True)
@@ -390,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--negative", action="store_true",
                    help="column-truncated negative cyclic homology")
     p.add_argument("--i-max", type=int, default=3)
-    p.set_defaults(fn=cmd_hc)
+    p.set_defaults(fn=cmd_homology)
 
     p = sub.add_parser("thh-set", help="trace classes of a Set category")
     p.add_argument("--category", required=True)

@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 from .exactla import SparseMat, ZZ, chain_homology
-from .fincat import FinCategory, SimplicialFinSet, UnionFind, generating_set
+from .fincat import FinCategory, SimplicialFinSet, UnionFind
 from .enrich import (LinearCategory, Module, is_separable, linearize,
                      separable_by_trace_form, tensor_all_sets)
 from .manifold import GraphManifold
@@ -258,7 +258,7 @@ class TraceClassTable:
         self._uf = UnionFind(m for m in cat.morphisms()
                              if cat.src(m) == cat.tgt(m))
         table = cat.compose_table
-        for f in generating_set(cat):
+        for f in cat.generators:
             for g in cat.hom(cat.tgt(f), cat.src(f)):
                 gf, fg = table.get((g, f)), table.get((f, g))
                 if gf is not None and fg is not None:

@@ -8,6 +8,7 @@ same machinery carry length-bounded free constructions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -124,6 +125,13 @@ class FinCategory:
 
     def unit(self, x):
         return self.units[x]
+
+    @functools.cached_property
+    def generators(self):
+        """`generating_set(self)` as a tuple, computed once and shared by
+        validation and the trace-class table.  A `FinCategory`'s tables are
+        not changed after construction, so it never goes stale."""
+        return tuple(generating_set(self))
 
     def compose(self, g, f):
         """g∘f, or None when the table has no entry (length bounds etc.)."""
@@ -264,7 +272,7 @@ def validate_category(cat: FinCategory):
             report.append(f"left unit law fails at {f}")
         if row[cat.units[src[f]]][place[f]] != place[f]:
             report.append(f"right unit law fails at {f}")
-    for f in generating_set(cat):
+    for f in cat.generators:
         row_f, from_f = row[f], out_of[src[f]]
         for g, gf in zip(out_of[tgt[f]], row_f):
             # (h∘g)∘f and h∘(g∘f), for h out of tgt g

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import copy
 import io
+import itertools
 import json
 import tempfile
 import time
@@ -18,7 +19,8 @@ from strathom.enrich import (is_separable, matrix_algebra,
                              separable_by_trace_form,
                              truncated_polynomial_algebra)
 from strathom.exactla import QQ
-from strathom.facthom import cyclic_homology, hochschild_homology
+from strathom.facthom import (complex_dims, cyclic_homology,
+                              hochschild_homology, negative_cyclic_homology)
 
 from helpers import separability_pool
 
@@ -621,51 +623,89 @@ def test_negative_cyclic_mode(inputs, capsys):
 
 
 def _record_engine_calls(monkeypatch):
-    """The CLI's calls of `hochschild_homology` and `cyclic_homology`, as
-    (name, n_max) in a list that fills as they happen; the calls still
-    run."""
+    """The CLI's calls of `hochschild_homology`, `cyclic_homology` and
+    `negative_cyclic_homology`, as (name, n_max) or (name, n_max, i_max) in
+    a list that fills as they happen; the calls still run."""
     calls = []
-    for engine in (hochschild_homology, cyclic_homology):
-        def record(alg, n_max, engine=engine):
-            calls.append((engine.__name__, n_max))
-            return engine(alg, n_max)
+    for engine in (hochschild_homology, cyclic_homology,
+                   negative_cyclic_homology):
+        def record(alg, *degrees, engine=engine):
+            calls.append((engine.__name__, *degrees))
+            return engine(alg, *degrees)
         monkeypatch.setattr(cli, engine.__name__, record)
     return calls
 
 
+# the most elements of the complex that a negative run may build, so that
+# the full-complex oracle of every run fits in a few seconds altogether
+NEGATIVE_BUDGET = 10_000
+
+
+def _negative_top(alg, top, i_max):
+    """The largest n_max <= top for which `hc --negative` builds at most
+    NEGATIVE_BUDGET elements of the complex, to degree n_max + 2·i_max + 1,
+    or None when even n_max = 0 builds more."""
+    dims = list(itertools.islice(complex_dims(alg), top + 2 * i_max + 2))
+    fits = [n for n in range(top + 1)
+            if sum(dims[:n + 2 * i_max + 2]) <= NEGATIVE_BUDGET]
+    return max(fits, default=None)
+
+
 def _hh_and_hc_through_the_cli(tmp_path, capsys, monkeypatch, pool):
     """For each (name, algebra) of `pool`: the name, the top degree asked,
-    and per verb the engine calls the CLI made and the groups it printed."""
+    per verb the engine calls the CLI made and the groups it printed, and
+    per i_max in 0, 1, 2 the n_max of `_negative_top`, the calls and the
+    stdout of `hc --negative` (an i_max without an n_max is left out)."""
     calls = _record_engine_calls(monkeypatch)
     for k, (name, alg) in enumerate(pool):
         top = 3 if sum(map(len, alg.hom_basis.values())) <= 4 else 2
         path = tmp_path / f"algebra{k}.json"
         path.write_text(json.dumps(alg.to_json_dict()))
-        runs = {}
+        runs, negative = {}, {}
         for verb in ("hh", "hc"):
             calls.clear()
             code, out = run(capsys, verb, "--algebra", str(path),
                             "--max-degree", str(top))
             assert code == 0, name
             runs[verb] = (list(calls), json.loads(out)["groups"])
-        yield name, alg, top, runs
+        for i_max in (0, 1, 2):
+            n_max = _negative_top(alg, top, i_max)
+            if n_max is None:
+                continue
+            calls.clear()
+            code, out = run(capsys, "hc", "--negative", "--algebra",
+                            str(path), "--max-degree", str(n_max),
+                            "--i-max", str(i_max))
+            assert code == 0, (name, i_max)
+            negative[i_max] = (n_max, list(calls), out)
+        yield name, alg, top, runs, negative
 
 
 def test_certified_hh_and_hc_equal_the_full_complex(tmp_path, capsys,
                                                     monkeypatch):
     # on every algebra of the pools that the trace form certifies, the CLI
     # builds only the boundary C_1 -> C_0, and prints the groups that the
-    # full complex gives
+    # full complex gives; `hc --negative` prints, byte for byte, what the
+    # library's full truncated (b, B) complex gives
     pool = [(n, a) for n, a in separability_pool()
             if separable_by_trace_form(a)]
     assert len(pool) >= 40
-    for name, alg, top, runs in _hh_and_hc_through_the_cli(
+    columns = 0
+    for name, alg, top, runs, negative in _hh_and_hc_through_the_cli(
             tmp_path, capsys, monkeypatch, pool):
         for verb, engine in (("hh", hochschild_homology),
                              ("hc", cyclic_homology)):
             calls, groups = runs[verb]
             assert calls == [("hochschild_homology", 0)], (name, verb)
             assert groups == engine(alg, top), (name, verb)
+        assert {0, 1} <= set(negative), name
+        for i_max, (n_max, calls, out) in negative.items():
+            assert calls == [("hochschild_homology", 0)], (name, i_max)
+            oracle = {"verb": "hc", "ring": alg.ring.name, "mode": "negative",
+                      **negative_cyclic_homology(alg, n_max, i_max)}
+            assert out == cli.render_json(oracle), (name, i_max)
+            columns += i_max == 2
+    assert columns >= 30
 
 
 def test_inputs_without_a_certificate_stay_on_the_complex(tmp_path, capsys,
@@ -679,10 +719,14 @@ def test_inputs_without_a_certificate_stay_on_the_complex(tmp_path, capsys,
             "M_2(F_2)"} <= names
     assert sum(name.startswith("random") and not is_separable(alg)
                for name, alg in pool) >= 5
-    for name, alg, top, runs in _hh_and_hc_through_the_cli(
+    for name, alg, top, runs, negative in _hh_and_hc_through_the_cli(
             tmp_path, capsys, monkeypatch, pool):
         assert runs["hh"][0] == [("hochschild_homology", top)], name
         assert runs["hc"][0] == [("cyclic_homology", top)], name
+        assert set(negative) == {0, 1, 2}, name
+        for i_max, (n_max, calls, _) in negative.items():
+            assert calls == [("negative_cyclic_homology", n_max, i_max)], (
+                name, i_max)
 
 
 def _oversized(tmp_path, argv):
@@ -707,7 +751,7 @@ def _oversized(tmp_path, argv):
     # on the complex: dim C_n = 3·2^n, past any memory by n = 60
     ("hh", "--algebra", "POLY", "--max-degree", "60"),
     ("hc", "--algebra", "POLY", "--max-degree", "60"),
-    ("hc", "--negative", "--algebra", "ALGEBRA", "--max-degree", "2",
+    ("hc", "--negative", "--algebra", "POLY", "--max-degree", "2",
      "--i-max", "30"),
     ("hc", "--negative", "--algebra", "POLY", "--max-degree", str(10 ** 12)),
 ], ids=["hh-certified", "hc-certified", "hh-complex", "hc-complex",
@@ -736,13 +780,19 @@ def test_running_out_of_memory_is_a_validation_failure(tmp_path):
 
 
 def test_a_large_degree_of_a_separable_algebra_is_answered(tmp_path):
-    # M_2(Q) to degree 30 under the cap: the trace form certifies it, so
-    # only HH_0 is built
-    code, result, seconds = _oversized(
-        tmp_path, ("hh", "--algebra", "ALGEBRA", "--max-degree", "30"))
-    assert code == 0
-    assert [g["rank"] for g in result["groups"]] == [1] + [0] * 30
-    assert seconds < 2
+    # M_2(Q) under the cap: the trace form certifies it, so only HH_0 is
+    # built, also for the negative theory and its 2·i_max more degrees
+    for argv, ranks in (
+            (("hh", "--max-degree", "30"), [1] + [0] * 30),
+            (("hc", "--negative", "--max-degree", "30", "--i-max", "30"),
+             [1] + [0] * 30),
+            (("hc", "--negative"), [1, 0, 0, 0, 0])):
+        code, result, seconds = _oversized(
+            tmp_path, argv + ("--algebra", "ALGEBRA"))
+        assert code == 0, argv
+        assert [g["rank"] for g in result["groups"]] == ranks, argv
+        assert result.get("exact", True) is True, argv
+        assert seconds < 2, argv
 
 
 def test_unparseable_cache_entry_is_a_miss_and_is_overwritten(inputs, tmp_path,
