@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import os
 import struct
@@ -24,10 +25,10 @@ import tempfile
 from . import __version__
 from .checks import SUITES, run_suite
 from .cyclo import DEFAULT_DEGREES, MODEL_TAG, fixed_classes, trace_of
-from .enrich import (LinearCategory, separable_by_trace_form,
+from .enrich import (LinearCategory, delinearize, separable_by_trace_form,
                      validate_linear_category)
-from .facthom import (_disk_count, complex_dims, cyclic_homology,
-                      facthom_set_pi0, hochschild_homology,
+from .facthom import (_disk_count, centralizer_homology, complex_dims,
+                      cyclic_homology, facthom_set_pi0, hochschild_homology,
                       negative_cyclic_homology, thh_set_pi0)
 from .fincat import FinCategory, validate_category
 from .manifold import GraphManifold, validate_manifold
@@ -231,24 +232,35 @@ def _memory_bytes() -> int:
     return memory if memory > 0 else sys.maxsize
 
 
-def _require_room(alg, complex_top, n_groups):
-    """Fail validation, before anything is built, when the normalized
-    complex to degree `complex_top` and a list of `n_groups` groups cannot
-    fit in the machine's memory.  Both are counted from below: an element
-    of C_n holds its own tuple of n + 1 basis elements, one reference each,
-    and a group is a dict of three keys.  The count stops as soon as it
-    passes the memory, so a huge degree costs nothing to refuse."""
+def _require_room(level_refs, complex_top, n_groups):
+    """Fail validation, before anything is built, when a complex to degree
+    `complex_top` and a list of `n_groups` groups cannot fit in the
+    machine's memory.  Both are counted from below: `level_refs` yields,
+    for n = 0, 1, ..., the references that the elements of C_n hold, one
+    per basis element or morphism of each, and a group is a dict of three
+    keys.  The count stops as soon as it passes the memory, so a huge
+    degree costs nothing to refuse."""
     memory = _memory_bytes()
     need = n_groups * sys.getsizeof({"degree": 0, "rank": 0, "torsion": []})
     ref = struct.calcsize("P")
-    for n, dim in zip(range(complex_top + 1), complex_dims(alg)):
+    for refs in itertools.islice(level_refs, complex_top + 1):
         if need > memory:
             break
-        need += dim * ref * (n + 1)
+        need += refs * ref
     if need > memory:
         raise ValidationFailure([
             f"the complex to degree {complex_top} and {n_groups} groups "
             f"need more than the machine's {memory} bytes of memory"])
+
+
+def _groupoid(alg):
+    """`delinearize(alg)` when it is a groupoid, every morphism invertible,
+    else None.  Validation has made its table total: a product a·b = 0
+    with a invertible would break associativity, as a^-1·(a·b) = 0 != b."""
+    cat = delinearize(alg)
+    if cat is None or any(cat.inverse(m) is None for m in cat.morphisms()):
+        return None
+    return cat
 
 
 def cmd_homology(args):
@@ -259,13 +271,27 @@ def cmd_homology(args):
     *Cyclic Homology*, §2.2), and column i <= 0 of the truncated (b, B)
     complex has homology HH_0 in total degree 2i alone: every differential
     between columns vanishes, so HC^- is HH_0 in degree 0, 0 above, exactly.
-    Only HH_0, the boundary C_1 -> C_0, is computed.  Every other algebra
-    gets the full complex from the verb's library function."""
+    Only HH_0, the boundary C_1 -> C_0, is computed.  An uncertified `hh`
+    of a groupoid algebra is the sum of its centralizers' group homologies
+    (`centralizer_homology`); the largest complex that builds is the
+    normalized nerve of a largest automorphism group, the identity's
+    centralizer.  Every other algebra gets the full complex from the verb's
+    library function."""
     alg = load_algebra(args.algebra, args.data["algebra"])
     top, negative = args.max_degree, getattr(args, "negative", False)
     i_max = args.i_max if negative else 0
     certified = separable_by_trace_form(alg)
-    _require_room(alg, 1 if certified else top + 2 * i_max + 1, top + 1)
+    groupoid = None if certified or args.verb != "hh" else _groupoid(alg)
+    if groupoid is not None:
+        order = max((len(groupoid.hom(x, x)) for x in groupoid.objects),
+                    default=1)
+        complex_top = top + 1
+        refs = (n * (order - 1) ** n
+                for n in range(complex_top + 1 if order > 1 else 1))
+    else:
+        complex_top = 1 if certified else top + 2 * i_max + 1
+        refs = (dim * (n + 1) for n, dim in enumerate(complex_dims(alg)))
+    _require_room(refs, complex_top, top + 1)
     if certified:
         rank = hochschild_homology(alg, 0)[0]["rank"]
         periodic = args.verb == "hc" and not negative
@@ -276,6 +302,8 @@ def cmd_homology(args):
         if negative:
             answer.update(truncated_at_column=i_max, hh_vanishes_above=0,
                           certificate="separable", exact=True)
+    elif groupoid is not None:
+        answer = {"groups": centralizer_homology(groupoid, alg.ring, top)}
     elif negative:
         answer = negative_cyclic_homology(alg, top, i_max)
     else:

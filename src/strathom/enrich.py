@@ -393,6 +393,42 @@ def linearize(cat: FinCategory, ring) -> LinearCategory:
                           {x: {u: 1} for x, u in cat.units.items()})
 
 
+def delinearize(cat: LinearCategory):
+    """The Set category C with `linearize(C, cat.ring)` equal to `cat`, or
+    None when `cat` is not a basis algebra.  A basis algebra names each
+    basis element in one hom only, and each of its units and nonzero
+    structure constants is one basis element of the hom it belongs to, with
+    coefficient 1.  A zero structure constant is a missing composite of C.
+    This is `linearize`'s inverse on its image."""
+    ring = cat.ring
+    where = {b: key for key, basis in cat.hom_basis.items() for b in basis}
+    if len(where) != sum(map(len, cat.hom_basis.values())):
+        return None
+
+    def element(vec, x, y):
+        """The basis element that `vec` is in hom(x, y), else None."""
+        if len(vec) != 1:
+            return None
+        ((k, c),) = vec.items()
+        return k if c == 1 and where.get(k) == (x, y) else None
+
+    compose = {}
+    for (x, y, z), table in cat.sc.items():
+        for (i, j), vec in table.items():
+            vec = ring.reduce(vec)
+            if not vec:
+                continue
+            k = element(vec, x, z)
+            if k is None or where.get(i) != (x, y) or where.get(j) != (y, z):
+                return None
+            compose[(j, i)] = k
+    units = {x: element(ring.reduce(vec), x, x)
+             for x, vec in cat.units.items()}
+    if None in units.values():
+        return None
+    return FinCategory(cat.objects, cat.hom_basis, compose, units)
+
+
 def algebra_from_table(ring, basis, table, unit_vec) -> LinearCategory:
     """One-object linear category from multiplication structure constants;
     table[(i, j)] expands i·j (i first)."""

@@ -588,6 +588,104 @@ def _groups(dims, boundaries, ring):
             in enumerate(chain_homology(dims, boundaries, ring))]
 
 
+def centralizer_homology(cat: FinCategory, ring, n_max: int):
+    """HH_0..HH_n_max of the groupoid algebra `linearize(cat, ring)`, in
+    `hochschild_homology`'s form, for a groupoid `cat` (a total table,
+    every morphism invertible).  The cyclic nerve of a groupoid splits over
+    its trace classes, the class of g contributing B C(g), C(g) the
+    automorphisms of g's object that commute with g.  Linearized, this is
+    Burghelea's theorem, HH_n(k[G]) = sum over classes [g] of
+    H_n(C(g); k) for any commutative k (Burghelea, Comment. Math. Helv. 60,
+    1985; Loday, *Cyclic Homology*, §7.4).  Ranks add, and the torsion of
+    the summands merges into invariant factors."""
+    summands = centralizer_summands(cat, ring, n_max).values()
+    return [{"degree": n, "rank": sum(s[n][0] for s in summands),
+             "torsion": _merged_torsion(d for s in summands for d in s[n][1])}
+            for n in range(n_max + 1)]
+
+
+def centralizer_summands(cat: FinCategory, ring, n_max: int):
+    """Each trace class representative g of the groupoid `cat`, mapped to
+    the (rank, torsion) of H_0..H_n_max(C(g); ring), in `chain_homology`'s
+    form.  Each distinct centralizer's homology is computed once, by its
+    element set."""
+    table = cat.compose_table
+    summands, memo = {}, {}
+    for g in TraceClassTable(cat).class_representatives():
+        x = cat.src(g)
+        centralizer = tuple(h for h in cat.hom(x, x)
+                            if table[(h, g)] == table[(g, h)])
+        key = frozenset(centralizer)
+        if key not in memo:
+            dims, boundaries = _group_chains(cat, centralizer, cat.unit(x),
+                                             n_max + 1)
+            memo[key] = chain_homology(dims, boundaries, ring)
+        summands[g] = memo[key]
+    return summands
+
+
+def _group_chains(cat: FinCategory, group, unit, n_max: int):
+    """The dims of the normalized chains of the nerve of `group`, a group
+    of endomorphisms of one object with unit `unit`, in degrees
+    0..n_max, and their boundaries, built one at a time as they are read.
+    C_n is free on the strings (g_1, ..., g_n) of non-units, (|G| - 1)^n
+    of them, each the base |G| - 1 number of its digits (a non-unit's
+    place in `group`).  d_0 and d_n drop an end, 0 < i < n composes
+    g_(i+1)∘g_i, and a face whose composite is the unit is degenerate, so
+    0.  No unnormalized string is built."""
+    rest = [g for g in group if g != unit]
+    m = len(rest)
+    digit = {g: k for k, g in enumerate(rest)}
+    # product[a][b]: the digit of rest[b]∘rest[a], None for the unit
+    product = [[digit.get(cat.compose_table[(b, a)]) for b in rest]
+               for a in rest]
+    power = [m ** n for n in range(n_max + 1)]
+
+    def boundaries():
+        yield None
+        for n in range(1, n_max + 1):
+            cols = []
+            for index, s in enumerate(itertools.product(range(m), repeat=n)):
+                col = {index % power[n - 1]: 1}
+                last = index // m
+                col[last] = col.get(last, 0) + (-1) ** n
+                for i in range(1, n):
+                    c = product[s[i - 1]][s[i]]
+                    if c is None:
+                        continue
+                    row = ((index // power[n - i + 1] * m + c) * power[n - i - 1]
+                           + index % power[n - i - 1])
+                    col[row] = col.get(row, 0) + (-1) ** i
+                cols.append(col)
+            yield SparseMat.from_columns(power[n - 1], cols)
+
+    return power, boundaries()
+
+
+def _merged_torsion(orders):
+    """The invariant factors d_1 | d_2 | ..., ascending, of the sum of the
+    cyclic groups Z/d for d in `orders`, 1s included: each d splits into
+    its prime-power parts, and the k-th largest factor is the product of
+    each prime's k-th largest power."""
+    powers = {}
+    for d in orders:
+        p = 2
+        while d > 1:
+            if p * p > d:
+                p = d
+            q = 1
+            while d % p == 0:
+                d, q = d // p, q * p
+            if q > 1:
+                powers.setdefault(p, []).append(q)
+            p += 1
+    for qs in powers.values():
+        qs.sort(reverse=True)
+    return [math.prod(qs[k] for qs in powers.values() if k < len(qs))
+            for k in reversed(range(max(map(len, powers.values()),
+                                        default=0)))]
+
+
 def _total_complex(complex_: ChainComplexBundle, n_max: int, columns):
     """The (b, B) total complex Tot_n = sum of C_(n-2i) over the i in
     `columns` with 0 <= n - 2i <= complex_.n_max, in the order of `columns`.

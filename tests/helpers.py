@@ -2,6 +2,8 @@
 holds what a verb, a suite, the public API or a labelled oracle reaches
 (see `test_reachability.py`)."""
 
+from fractions import Fraction
+
 from strathom import checks
 from strathom.cyclo import (cyclic_group_table, group_category,
                             symmetric_group_table)
@@ -9,7 +11,7 @@ from strathom.enrich import (LinearCategory, algebra_from_table,
                              group_algebra, linearize, matrix_algebra,
                              truncated_polynomial_algebra)
 from strathom.exactla import QQ, RingFp
-from strathom.fincat import FactorizationSystem, factorizations
+from strathom.fincat import FactorizationSystem, FinCategory, factorizations
 
 
 def product_algebra(a: LinearCategory, b: LinearCategory) -> LinearCategory:
@@ -75,6 +77,33 @@ def separability_pool():
             seen.add(key)
             out.append((name, alg))
     return out
+
+
+def connected_groupoid(elements, mult, unit, objects) -> FinCategory:
+    """The connected groupoid on `objects` with every automorphism group
+    the group (elements, mult, unit): a morphism a -> b is a pair (g, a,
+    b), named "g:ab", and (h, b, c)∘(g, a, b) = (g·h, a, c), g·h =
+    mult[(g, h)] read "g then h" as in `monoid_category`."""
+    homs = {(a, b): tuple(f"{g}:{a}{b}" for g in elements)
+            for a in objects for b in objects}
+    compose = {(f"{h}:{b}{c}", f"{g}:{a}{b}"): f"{mult[(g, h)]}:{a}{c}"
+               for a in objects for b in objects for c in objects
+               for g in elements for h in elements}
+    return FinCategory(objects, homs, compose,
+                       {a: f"{unit}:{a}{a}" for a in objects})
+
+
+def rescaled(alg: LinearCategory, scale) -> LinearCategory:
+    """`alg` with each basis element b of each hom standing for scale[b]·b,
+    scale[b] invertible in the ring: the same algebra in another basis."""
+    def vector(vec, factor):
+        return alg.ring.reduce({k: Fraction(v * factor, scale[k])
+                                for k, v in vec.items()})
+    sc = {key: {(i, j): vector(vec, scale[i] * scale[j])
+                for (i, j), vec in table.items()}
+          for key, table in alg.sc.items()}
+    return LinearCategory(alg.ring, alg.objects, alg.hom_basis, sc,
+                          {x: vector(vec, 1) for x, vec in alg.units.items()})
 
 
 def zero_algebra(ring) -> LinearCategory:

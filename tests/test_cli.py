@@ -15,14 +15,20 @@ from hypothesis import (HealthCheck, assume, example, given, settings,
 from strathom import cli
 from strathom.cli import (_INPUTS, _cache_key, _input_fingerprint,
                           build_parser, main, render_table)
-from strathom.enrich import (is_separable, matrix_algebra,
+from strathom.checks import small_category_pool, transformation_monoid
+from strathom.cyclo import (cyclic_group_table, group_category,
+                            quaternion_group_table, symmetric_group_table)
+from strathom.enrich import (delinearize, is_separable, linearize,
+                             matrix_algebra, monoid_algebra,
                              separable_by_trace_form,
                              truncated_polynomial_algebra)
-from strathom.exactla import QQ
-from strathom.facthom import (complex_dims, cyclic_homology,
-                              hochschild_homology, negative_cyclic_homology)
+from strathom.exactla import QQ, ZZ, RingFp
+from strathom.facthom import (centralizer_homology, complex_dims,
+                              cyclic_homology, hochschild_homology,
+                              negative_cyclic_homology)
+from strathom.fincat import monoid_category
 
-from helpers import separability_pool
+from helpers import connected_groupoid, rescaled, separability_pool
 
 
 IDEM = {
@@ -623,9 +629,10 @@ def test_negative_cyclic_mode(inputs, capsys):
 
 
 def _record_engine_calls(monkeypatch):
-    """The CLI's calls of `hochschild_homology`, `cyclic_homology` and
-    `negative_cyclic_homology`, as (name, n_max) or (name, n_max, i_max) in
-    a list that fills as they happen; the calls still run."""
+    """The CLI's calls of `hochschild_homology`, `cyclic_homology`,
+    `negative_cyclic_homology` and `centralizer_homology`, as (name, n_max)
+    or (name, n_max, i_max) in a list that fills as they happen; the calls
+    still run."""
     calls = []
     for engine in (hochschild_homology, cyclic_homology,
                    negative_cyclic_homology):
@@ -633,6 +640,11 @@ def _record_engine_calls(monkeypatch):
             calls.append((engine.__name__, *degrees))
             return engine(alg, *degrees)
         monkeypatch.setattr(cli, engine.__name__, record)
+
+    def centralizers(cat, ring, n_max):
+        calls.append(("centralizer_homology", n_max))
+        return centralizer_homology(cat, ring, n_max)
+    monkeypatch.setattr(cli, "centralizer_homology", centralizers)
     return calls
 
 
@@ -708,20 +720,28 @@ def test_certified_hh_and_hc_equal_the_full_complex(tmp_path, capsys,
     assert columns >= 30
 
 
+# the uncertified algebras of `separability_pool` that are groupoid algebras
+UNCERTIFIED_GROUPOIDS = {"Z[Z/2]", "F_3[Z/3]", "F_2[Z/4]"}
+
+
 def test_inputs_without_a_certificate_stay_on_the_complex(tmp_path, capsys,
                                                           monkeypatch):
     # Z, a radical, or a degenerate trace form over F_p: the CLI runs the
-    # full complex, whatever is_separable says
+    # full complex, whatever is_separable says, except for `hh` of a
+    # groupoid algebra, which its centralizers answer; `hc` and `hc
+    # --negative` stay on the complex for every input
     pool = [(n, a) for n, a in separability_pool()
             if not separable_by_trace_form(a)]
     names = {name for name, _ in pool}
-    assert {"Z[Z/2]", "Q[x]/x^2", "F_3[Z/3]", "F_2[Z/4]",
-            "M_2(F_2)"} <= names
+    assert {"Q[x]/x^2", "M_2(F_2)"} | UNCERTIFIED_GROUPOIDS <= names
     assert sum(name.startswith("random") and not is_separable(alg)
                for name, alg in pool) >= 5
     for name, alg, top, runs, negative in _hh_and_hc_through_the_cli(
             tmp_path, capsys, monkeypatch, pool):
-        assert runs["hh"][0] == [("hochschild_homology", top)], name
+        engine = ("centralizer_homology" if name in UNCERTIFIED_GROUPOIDS
+                  else "hochschild_homology")
+        assert runs["hh"][0] == [(engine, top)], name
+        assert runs["hh"][1] == hochschild_homology(alg, top), name
         assert runs["hc"][0] == [("cyclic_homology", top)], name
         assert set(negative) == {0, 1, 2}, name
         for i_max, (n_max, calls, _) in negative.items():
@@ -729,13 +749,107 @@ def test_inputs_without_a_certificate_stay_on_the_complex(tmp_path, capsys,
                 name, i_max)
 
 
+def _groupoid_pool():
+    """(name, Set groupoid) pairs: the groupoids of the category pool
+    (discrete2 has two objects), Z/1-Z/6, S_3, Q_8, and two connected
+    groupoids on two objects, with automorphism groups Z/1 and S_3."""
+    pool = [(n, c) for n, c in small_category_pool()
+            if n in ("discrete2", "bz2", "bz3")]
+    pool += [(f"Z/{n}", monoid_category(*cyclic_group_table(n)))
+             for n in range(1, 7)]
+    pool += [("S_3", group_category(*symmetric_group_table(3))),
+             ("Q_8", group_category(*quaternion_group_table())),
+             ("pair", connected_groupoid(*cyclic_group_table(1), ("x", "y"))),
+             ("S_3-pair", connected_groupoid(*symmetric_group_table(3),
+                                             ("x", "y")))]
+    return pool
+
+
+@pytest.mark.parametrize("ring", [ZZ, RingFp(2), RingFp(3), RingFp(5)],
+                         ids=["Z", "F2", "F3", "F5"])
+def test_groupoid_hh_equals_the_full_complex(tmp_path, capsys, monkeypatch,
+                                             ring):
+    # Burghelea's theorem: HH of a groupoid algebra is the sum over trace
+    # classes of its centralizers' group homologies.  The CLI answers an
+    # uncertified one from the centralizers and never builds the full
+    # complex, whose groups it must print byte for byte
+    calls = _record_engine_calls(monkeypatch)
+    routed = 0
+    for k, (name, cat) in enumerate(_groupoid_pool()):
+        alg = linearize(cat, ring)
+        top = 3 if sum(map(len, cat.homs.values())) <= 4 else 2
+        path = tmp_path / f"groupoid{k}.json"
+        path.write_text(json.dumps(alg.to_json_dict()))
+        calls.clear()
+        code, out = run(capsys, "hh", "--algebra", str(path),
+                        "--max-degree", str(top))
+        assert code == 0, name
+        oracle = {"verb": "hh", "ring": ring.name,
+                  "groups": hochschild_homology(alg, top)}
+        assert out == cli.render_json(oracle), name
+        if separable_by_trace_form(alg):
+            assert calls == [("hochschild_homology", 0)], name
+        else:
+            assert calls == [("centralizer_homology", top)], name
+            routed += 1
+    # over F_p the groups of order prime to p are certified (Maschke), but
+    # for the pair groupoid over F_2, M_2(F_2), whose trace form is 0
+    assert routed == {"Z": 13, "Fp:2": 8, "Fp:3": 5, "Fp:5": 1}[ring.name]
+
+
+@pytest.mark.parametrize("name, alg", [
+    ("monoid", monoid_algebra(ZZ, *transformation_monoid(2, 0))),
+    ("Z[x]/x^3", truncated_polynomial_algebra(ZZ, 3)),
+    ("rescaled Z[S_3]", rescaled(
+        linearize(group_category(*symmetric_group_table(3)), ZZ),
+        {b: (-1) ** k for k, b in enumerate(symmetric_group_table(3)[0])})),
+], ids=["monoid", "poly", "rescaled"])
+def test_algebras_that_are_not_groupoid_algebras_stay_on_the_complex(
+        tmp_path, capsys, monkeypatch, name, alg):
+    # the monoid and Z[x]/x^3 are read back as Set categories that are not
+    # groupoids; the rescaled basis is not read back at all
+    assert (delinearize(alg) is None) == name.startswith("rescaled")
+    calls = _record_engine_calls(monkeypatch)
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(alg.to_json_dict()))
+    code, out = run(capsys, "hh", "--algebra", str(path), "--max-degree", "2")
+    assert code == 0
+    assert calls == [("hochschild_homology", 2)], name
+
+
+def test_the_centralizer_route_bounds_its_own_complexes(tmp_path, capsys,
+                                                        monkeypatch):
+    # Z[S_3] to degree 3: the nerve of S_3 to degree 4 holds n·5^n
+    # references in degree n, 2,930 in all, and the full complex to
+    # degree 4 22,266: with room for the first alone the route answers,
+    # and with less it is refused before anything is built
+    alg = linearize(group_category(*symmetric_group_table(3)), ZZ)
+    path = tmp_path / "z-s3.json"
+    path.write_text(json.dumps(alg.to_json_dict()))
+    argv = ("hh", "--algebra", str(path), "--max-degree", "3")
+    calls = _record_engine_calls(monkeypatch)
+    monkeypatch.setattr(cli, "_memory_bytes", lambda: 60_000)
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert calls == [("centralizer_homology", 3)]
+    assert json.loads(out)["groups"] == hochschild_homology(alg, 3)
+    calls.clear()
+    monkeypatch.setattr(cli, "_memory_bytes", lambda: 20_000)
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert "bytes of memory" in json.loads(out)["error"]["report"][0]
+    assert calls == []
+
+
 def _oversized(tmp_path, argv):
     """`strathom *argv` under `_under_a_memory_cap`, with ALGEBRA in argv
-    standing for M_2(Q) and POLY for Q[x]/x^3, timed: (exit code, parsed
-    stdout, seconds)."""
+    standing for M_2(Q), POLY for Q[x]/x^3 and GROUP for Z[S_3], timed:
+    (exit code, parsed stdout, seconds)."""
     files = {}
     for key, alg in (("ALGEBRA", matrix_algebra(QQ, 2)),
-                     ("POLY", truncated_polynomial_algebra(QQ, 3))):
+                     ("POLY", truncated_polynomial_algebra(QQ, 3)),
+                     ("GROUP", linearize(group_category(
+                         *symmetric_group_table(3)), ZZ))):
         files[key] = tmp_path / f"{key.lower()}.json"
         files[key].write_text(json.dumps(alg.to_json_dict()))
     start = time.perf_counter()
@@ -754,8 +868,13 @@ def _oversized(tmp_path, argv):
     ("hc", "--negative", "--algebra", "POLY", "--max-degree", "2",
      "--i-max", "30"),
     ("hc", "--negative", "--algebra", "POLY", "--max-degree", str(10 ** 12)),
+    # on the centralizers: the nerve of S_3 holds n·5^n references in
+    # degree n, past any memory by n = 30
+    ("hh", "--algebra", "GROUP", "--max-degree", "30"),
+    ("hh", "--algebra", "GROUP", "--max-degree", str(10 ** 12)),
 ], ids=["hh-certified", "hc-certified", "hh-complex", "hc-complex",
-        "negative-columns", "negative-degree"])
+        "negative-columns", "negative-degree", "hh-centralizers",
+        "hh-centralizers-groups"])
 def test_an_oversized_degree_is_refused_before_anything_is_built(tmp_path,
                                                                  argv):
     # under a 1 GiB cap these ran into a MemoryError traceback, and without

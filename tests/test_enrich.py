@@ -12,8 +12,8 @@ import pytest
 
 from strathom import checks, enrich, fanout, manifold
 from strathom.exactla import QQ, ZZ, RingFp
-from strathom.enrich import (LinearCategory, algebra_from_table, linearize,
-                             monoid_algebra,
+from strathom.enrich import (LinearCategory, algebra_from_table, delinearize,
+                             linearize, monoid_algebra,
                              commutator_cokernel_invariants,
                              corr_pushforward, corr_pushforward_index_check,
                              corr_pushforward_witness,
@@ -33,7 +33,8 @@ from strathom.cyclo import (cyclic_group_table, free_monoid_category,
                             group_category, quaternion_group_table,
                             symmetric_group_table)
 
-from helpers import product_algebra, separability_pool, zero_algebra
+from helpers import (connected_groupoid, product_algebra, rescaled,
+                     separability_pool, zero_algebra)
 
 
 # -- validation ---------------------------------------------------------------
@@ -614,6 +615,107 @@ def test_linearize_keeps_hom_order_and_empty_homs_and_drops_missing_composites()
     assert free.compose_basis("*", "*", "*", "a", "b") == {"ab": 1}
     assert free.compose_basis("*", "*", "*", "ab", "a") == {}
     assert validate_linear_category(free) == []
+
+
+def _algebra(alg):
+    """`_presentation` of a linear category with its zero structure
+    constants dropped: equal exactly for equal algebras on equal bases."""
+    ring, objects, homs, sc, units = _presentation(alg)
+    return (ring, objects, homs,
+            {key: {pair: vec for pair, vec in table.items()
+                   if ring.reduce(vec)} for key, table in sc.items()},
+            units)
+
+
+def _basis_algebra_pool():
+    """Every algebra of the pools, basis algebras and others: the
+    separability pool, `checks.mixed_algebras`, random algebras over Z and
+    F_2, and Z[S_3], Z[Q_8] and a connected groupoid over Z."""
+    pool = [alg for _, alg in separability_pool()]
+    pool += [alg for _, alg, _ in checks.mixed_algebras()]
+    pool += [checks.random_associative_algebra(ring, seed)
+             for seed in range(20) for ring in (ZZ, RingFp(2))]
+    pool += [linearize(cat, ZZ) for cat in (
+        group_category(*symmetric_group_table(3)),
+        group_category(*quaternion_group_table()),
+        connected_groupoid(*cyclic_group_table(2), ("x", "y")))]
+    return pool
+
+
+def test_linearize_inverts_delinearize_on_every_basis_algebra():
+    read = 0
+    for alg in _basis_algebra_pool():
+        cat = delinearize(alg)
+        if cat is None:
+            continue
+        read += 1
+        assert _algebra(linearize(cat, alg.ring)) == _algebra(alg)
+    assert read >= 100
+
+
+def _delinearize_pool():
+    return [c for _, c in checks.small_category_pool()] + [
+        group_category(*symmetric_group_table(3)),
+        group_category(*quaternion_group_table()),
+        connected_groupoid(*symmetric_group_table(3), ("x", "y", "z")),
+        free_monoid_category(2, 3), free_monoid_category(3, 2)] + [
+        checks.random_segal_category(seed) for seed in range(12)]
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, RingFp(2), RingFp(5)],
+                         ids=["Z", "Q", "F2", "F5"])
+def test_delinearize_reads_back_every_pool_category(ring):
+    for cat in _delinearize_pool():
+        back = delinearize(linearize(cat, ring))
+        assert back is not None
+        assert back.objects == cat.objects
+        assert back.homs == cat.homs
+        assert back.compose_table == cat.compose_table
+        assert back.units == cat.units
+
+
+def _with_constant(alg, pair, vec):
+    sc = {key: dict(table) for key, table in alg.sc.items()}
+    sc[("*", "*", "*")][pair] = vec
+    return LinearCategory(alg.ring, alg.objects, alg.hom_basis, sc,
+                          alg.units)
+
+
+def _name_in_two_homs(ring):
+    # BZ/2 on x and on y, with the unit of y named as the unit of x
+    cat = FinCategory(("x", "y"), {("x", "x"): ("e", "g"),
+                                   ("y", "y"): ("e", "h")},
+                      {("e", "e"): "e", ("g", "e"): "g", ("e", "g"): "g",
+                       ("g", "g"): "e", ("h", "h"): "e", ("h", "e"): "h",
+                       ("e", "h"): "h"},
+                      {"x": "e", "y": "e"})
+    return linearize(cat, ring)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, RingFp(5)], ids=["Z", "Q", "F5"])
+def test_delinearize_refuses_what_is_not_a_basis_algebra(ring):
+    s3 = linearize(group_category(*symmetric_group_table(3)), ring)
+    assert delinearize(s3) is not None
+    basis = symmetric_group_table(3)[0]
+    # the same algebra on a rescaled basis, where some constants are -1,
+    # or 2 and 1/2 over a field, or where the unit is -1 times a basis
+    # element
+    scales = [[(-1) ** k for k in range(6)], [-1] * 6]
+    if ring.is_field:
+        scales.append([2 ** (k % 2) for k in range(6)])
+    for scale in scales:
+        assert delinearize(rescaled(s3, dict(zip(basis, scale)))) is None
+    # one structure constant with coefficient 2, or with two terms
+    pair = (basis[1], basis[2])
+    (k,) = s3.compose_basis("*", "*", "*", *pair)
+    assert delinearize(_with_constant(s3, pair, {k: 2})) is None
+    assert delinearize(_with_constant(s3, pair, {k: 1, basis[0]: 1})) is None
+    # a unit with coefficient 2
+    doubled = LinearCategory(ring, s3.objects, s3.hom_basis, s3.sc,
+                             {"*": {basis[0]: 2}})
+    assert delinearize(doubled) is None
+    # a name in two homs
+    assert delinearize(_name_in_two_homs(ring)) is None
 
 
 # -- serialization ---------------------------------------------------------------------

@@ -7,13 +7,16 @@ import pytest
 
 from strathom.checks import (mixed_algebras, random_segal_category,
                              small_category_pool, small_manifold_pool)
-from strathom.exactla import QQ, RingFp, SparseMat, ZZ
-from strathom.enrich import (ground_ring_algebra, group_algebra,
+from strathom.exactla import (QQ, RingFp, SparseMat, ZZ, chain_homology,
+                              smith_invariant_factors)
+from strathom.enrich import (delinearize, ground_ring_algebra, group_algebra,
                              linearize, matrix_algebra, nerve,
                              truncated_polynomial_algebra,
                              commutator_cokernel_invariants)
 from strathom.facthom import (ChainComplexBundle, LinearCyclicLevel,
-                              _bar_elements, complex_dims,
+                              _bar_elements, _group_chains, _merged_torsion,
+                              centralizer_homology, centralizer_summands,
+                              complex_dims,
                               SetCyclicBar, cart_facthom_disk,
                               cyclic_homology, enr_facthom_disk,
                               facthom_set_pi0, hochschild_homology,
@@ -1008,34 +1011,14 @@ def test_linear_level_matrices_satisfy_simplicial_identities():
 # H_(n-2i)(G/<g>; Z) for i >= 0.  For G = Z/m, G/<g> = Z/gcd(g, m), and
 # H_j(Z/c; Z) is Z for j = 0, Z/c for odd j and 0 for even j > 0.
 
-def _invariant_factors(orders):
-    """Invariant factors d_1 | d_2 | ... of the sum of Z/n over `orders`."""
-    powers = {}
-    for n in orders:
-        p = 2
-        while n > 1:
-            q = 1
-            while n % p == 0:
-                n //= p
-                q *= p
-            if q > 1:
-                powers.setdefault(p, []).append(q)
-            p += 1
-    out = [1] * max(map(len, powers.values()), default=0)
-    for qs in powers.values():
-        for k, q in enumerate(sorted(qs, reverse=True)):
-            out[k] *= q
-    return sorted(out)
-
-
 def _burghelea(verb, m, n):
     """(rank, torsion) of HH_n or HC_n of Z[Z/m]."""
     if n % 2 == 0:
         return (m if n == 0 or verb == "hc" else 0), []
     if verb == "hh":
-        return 0, _invariant_factors([m] * m)
-    return 0, _invariant_factors([math.gcd(g, m) for g in range(m)]
-                                 * ((n + 1) // 2))
+        return 0, _merged_torsion([m] * m)
+    return 0, _merged_torsion([math.gcd(g, m) for g in range(m)]
+                              * ((n + 1) // 2))
 
 
 @pytest.mark.parametrize("verb", ["hh", "hc"])
@@ -1061,3 +1044,129 @@ def test_universal_coefficients_z_against_fp(verb, m, p):
                     + sum(d % p == 0 for d in over_z[n]["torsion"])
                     + sum(d % p == 0 for d in below))
         assert g["rank"] == expected, (verb, m, p, n)
+
+
+# -- HH of a groupoid algebra from its centralizers --------------------------------------
+
+def test_merged_torsion_is_the_smith_form_of_the_diagonal():
+    # the invariant factors of a sum of cyclic groups are the Smith form of
+    # the diagonal matrix of their orders, its 1s dropped
+    rng = random.Random(31)
+    orders = (1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 18, 25, 27, 30, 36, 49, 60,
+              97, 210)
+    for _ in range(400):
+        drawn = [rng.choice(orders) for _ in range(rng.randrange(7))]
+        diagonal = SparseMat.from_columns(
+            len(drawn), [{i: d} for i, d in enumerate(drawn)])
+        smith = [d for d in smith_invariant_factors(diagonal) if d > 1]
+        assert _merged_torsion(drawn) == smith, drawn
+        assert _merged_torsion(iter(drawn)) == smith, drawn
+
+
+def test_hh1_of_z_s3_merges_its_summands():
+    # the classes of the unit, a transposition and a 3-cycle have the
+    # centralizers S_3, Z/2 and Z/3, whose H_1 are Z/2, Z/2 and Z/3; as
+    # invariant factors Z/2 + Z/6, not their concatenation
+    s3 = group_category(*symmetric_group_table(3))
+    summands = centralizer_summands(s3, ZZ, 1)
+    assert sorted(h[1][1] for h in summands.values()) == [(2,), (2,), (3,)]
+    assert _merged_torsion([2, 2, 3]) == [2, 6]
+    hh = centralizer_homology(delinearize(linearize(s3, ZZ)), ZZ, 1)
+    assert hh[1] == {"degree": 1, "rank": 0, "torsion": [2, 6]}
+
+
+def _class_blocks(cat, ring, top):
+    """HH_0..HH_top of `linearize(cat, ring)` class by class: the full
+    normalized complex to degree top + 1, cut into blocks by the trace
+    class of each basis element's cyclic composite, each block's homology
+    keyed by its class representative.  Asserts first that no boundary
+    entry leaves its block."""
+    table = thh_set_pi0(cat)
+    complex_ = ChainComplexBundle(linearize(cat, ring), top + 1)
+    classes = [[table.word_class(gs) for _, gs in basis]
+               for basis in complex_.bases]
+    for n in range(1, top + 2):
+        for r, row in enumerate(complex_.boundaries[n].rows):
+            for c in row:
+                assert classes[n][c] == classes[n - 1][r], (n, r, c)
+    blocks = {}
+    for rep in table.class_representatives():
+        where = [{i: k for k, i in enumerate(
+            i for i, c in enumerate(level) if c == rep)} for level in classes]
+        dims = [len(w) for w in where]
+        boundaries = [None]
+        for n in range(1, top + 2):
+            block = SparseMat(dims[n - 1], dims[n])
+            for r, k in where[n - 1].items():
+                block.rows[k] = {where[n][c]: v for c, v
+                                 in complex_.boundaries[n].rows[r].items()}
+            boundaries.append(block)
+        blocks[rep] = chain_homology(dims, boundaries, ring)
+    return blocks
+
+
+@pytest.mark.parametrize("ring", [ZZ, RingFp(2)], ids=["Z", "F2"])
+@pytest.mark.parametrize("name, table, top", [
+    ("S_3", symmetric_group_table(3), 3),
+    ("Q_8", quaternion_group_table(), 2),
+    ("Z/6", cyclic_group_table(6), 3),
+], ids=["S3", "Q8", "Z6"])
+def test_the_full_complex_splits_into_the_centralizer_summands(ring, name,
+                                                                table, top):
+    # Burghelea's splitting, summand by summand: totals could hide two
+    # summands swapped or merged
+    cat = group_category(*table)
+    assert _class_blocks(cat, ring, top) == centralizer_summands(cat, ring,
+                                                                 top), name
+
+
+def _normalized_nerve_chains(cat, depth):
+    """The normalized chains of `enrich.nerve` of a one-object category
+    `cat`, the oracle for `_group_chains`: C_n free on the strings of
+    non-units, in the order of `itertools.product` over `cat`'s non-units,
+    and b = sum (-1)^i d_i with the faces read off the nerve's tables, a
+    face that holds the unit dropped."""
+    unit = cat.unit("*")
+    rest = [g for g in cat.hom("*", "*") if g != unit]
+    levels = [[("*",)]] + [list(itertools.product(rest, repeat=n))
+                           for n in range(1, depth + 1)]
+    index = [{s: k for k, s in enumerate(level)} for level in levels]
+    nv = nerve(cat, depth)
+    boundaries = [None]
+    for n in range(1, depth + 1):
+        cols = []
+        for s in levels[n]:
+            col = {}
+            for i in range(n + 1):
+                face = nv.faces[(n, i)][s]
+                if face in index[n - 1]:
+                    row = index[n - 1][face]
+                    col[row] = col.get(row, 0) + (-1) ** i
+            cols.append(col)
+        boundaries.append(SparseMat.from_columns(len(levels[n - 1]), cols))
+    return [len(level) for level in levels], boundaries
+
+
+def _subgroup_category(table, elements):
+    _, mult, unit = table
+    return monoid_category(elements, {(a, b): mult[(a, b)]
+                                      for a in elements for b in elements},
+                           unit)
+
+
+@pytest.mark.parametrize("cat, depth", [
+    (group_category(*symmetric_group_table(3)), 4),
+    (group_category(*quaternion_group_table()), 3),
+    (group_category(*cyclic_group_table(4)), 4),
+    (group_category(*cyclic_group_table(1)), 3),
+    (_subgroup_category(symmetric_group_table(3), ("012", "021")), 5),
+], ids=["S3", "Q8", "Z4", "Z1", "S3-transposition"])
+def test_group_chains_are_the_normalized_nerve(cat, depth):
+    # (|G| - 1)^n strings of non-units in degree n, with the faces of the
+    # nerve; a face whose composite is the unit is degenerate, so 0
+    dims, boundaries = _group_chains(cat, cat.hom("*", "*"), cat.unit("*"),
+                                     depth)
+    boundaries = list(boundaries)
+    order = len(cat.hom("*", "*"))
+    assert dims == [(order - 1) ** n for n in range(depth + 1)]
+    assert (dims, boundaries) == _normalized_nerve_chains(cat, depth)
